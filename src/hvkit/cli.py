@@ -122,8 +122,11 @@ def load_model_file(path: str) -> Model:
 
 
 def save_model_file(model: Model, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize_model(model))
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(serialize_model(model))
+    except OSError as exc:
+        raise ModelFormatError(f"cannot write {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +390,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ModelFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except HVKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

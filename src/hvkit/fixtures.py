@@ -116,14 +116,6 @@ def correlated_coins_model() -> HVModel:
     return hv_model("01", "01", ("0",), ("0",), ("l0",), weights)
 
 
-VENN_FIXTURES = {
-    "pi_not_oi_singlet": rational_singlet_hv,
-    "oi_not_pi_signaling": signaling_model,
-    "weak_not_strong_signaling": signaling_model,
-    "local_lambda_indep_not_weakdet_coins": fair_coin_product_model,
-    "strong_not_lambda_indep_pr_box": pr_box_determinized,
-}
-
 FIXTURE_FILES = {
     "pr_box.json": pr_box,
     "pr_box_singleton_hv.json": pr_box_hv,

@@ -110,12 +110,6 @@ class ProductLayout:
         ordered = self.ordered(names)
         return ProductLayout(tuple(self.space(n) for n in ordered))
 
-    def atom_count(self) -> int:
-        count = 1
-        for factor in self.factors:
-            count *= len(factor)
-        return count
-
     def atoms(self) -> Iterator[Atom]:
         """All atoms of the full product, in canonical order."""
         return cartesian(*(f.atoms for f in self.factors))
@@ -170,9 +164,6 @@ class FiniteMeasure:
     def support(self) -> Iterator[Atom]:
         """Positive-weight atoms in canonical order."""
         return iter(self.weights)
-
-    def event_weight(self, atoms: Iterable[Atom]) -> Fraction:
-        return sum((self.weight(a) for a in set(map(tuple, atoms))), ZERO)
 
 
 @dataclass(frozen=True)

@@ -76,15 +76,18 @@ class MarginalFamily:
 
 
 def named_marginals(p: HVModel) -> MarginalFamily:
-    m = p.measure
+    """The seven marginals, each taken from the smallest one already built that contains it."""
+    p_a = marginal(p.measure, (XA, YA, YB, LAM))
+    p_b = marginal(p.measure, (XB, YA, YB, LAM))
+    r = marginal(p_a, (YA, YB, LAM))
     return MarginalFamily(
-        p_a=marginal(m, (XA, YA, YB, LAM)),
-        p_b=marginal(m, (XB, YA, YB, LAM)),
-        q_a=marginal(m, (XA, YA, LAM)),
-        q_b=marginal(m, (XB, YB, LAM)),
-        r=marginal(m, (YA, YB, LAM)),
-        p_y=marginal(m, (YA, YB)),
-        p_lam=marginal(m, (LAM,)),
+        p_a=p_a,
+        p_b=p_b,
+        q_a=marginal(p_a, (XA, YA, LAM)),
+        q_b=marginal(p_b, (XB, YB, LAM)),
+        r=r,
+        p_y=marginal(r, (YA, YB)),
+        p_lam=marginal(r, (LAM,)),
     )
 
 

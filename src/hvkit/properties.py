@@ -2,13 +2,18 @@
 
 Each checker evaluates its defining equation exactly, quantified over
 positive-probability conditioning atoms only, and returns a report with
-an exact witness on failure.  Where an equivalent fiber-product
-characterization exists, the checker also evaluates it and insists the
-two verdicts agree; a disagreement is an internal bug, not a property of
-the input, and raises.
+an exact witness on failure.  Where an equivalent characterization
+exists (a fiber-product identity, a product equality, a per-party
+reading), the checker also evaluates it and insists the readings agree;
+a disagreement is an internal bug, not a property of the input, and
+raises.
 
-Witness selection is deterministic: the first failing atom in canonical
-order, so failing checks are reproducible golden values.
+Witness selection is deterministic, so failing checks are reproducible
+golden values.  Every search runs through :func:`_first_violation`: the
+conditioning atoms in canonical order on the outside, the target atoms
+in canonical order on the inside, and the first pair where the two sides
+differ is the witness, its assignment listing the target labels before
+the conditioning labels.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from fractions import Fraction
 
 from .errors import InternalCheckError
 from .fiber import is_fiber_product
-from .measure import conditional, measures_equal, product
+from .measure import conditional, marginal, measures_equal, product
 from .models import HVModel, LAM, XA, XB, YA, YB, named_marginals
 
 
@@ -53,16 +58,39 @@ class PropertyReport:
     witness: Witness | None = None
 
 
-def _witness(coords, labels, lhs, rhs) -> Witness:
-    return Witness(tuple(zip(coords, labels)), lhs, rhs)
+def _first_violation(coords, givens, targets, lhs, rhs) -> Witness | None:
+    """The first (given, target) pair where lhs != rhs, in the module-docstring order.
+
+    ``targets`` must be a sequence, since it is walked again for every given.
+    """
+    for given in givens:
+        for target in targets:
+            left, right = lhs(given, target), rhs(given, target)
+            if left != right:
+                return Witness(tuple(zip(coords, target + given)), left, right)
+    return None
 
 
-def _assert_agreement(prop: HVProperty, primary: bool, characterization: bool) -> None:
-    if primary != characterization:
-        raise InternalCheckError(
-            f"{prop.value}: defining-equation verdict {primary} disagrees with "
-            f"fiber-product characterization {characterization}"
-        )
+def _kernel_violation(p: HVModel, kernel, rhs) -> Witness | None:
+    """First violation of ``kernel.value == rhs`` over every atom of the kernel."""
+    coords = kernel.target_coords + kernel.given_coords
+    targets = tuple(p.measure.layout.sublayout(kernel.target_coords).atoms())
+    return _first_violation(coords, kernel.given_atoms(), targets, kernel.value, rhs)
+
+
+def _zero_one_violation(p: HVModel, kernel) -> Witness | None:
+    """First strictly interior conditional, if any.
+
+    A value v is in {0, 1} exactly when v equals its own square, so the
+    witness reports (v, v*v).  Absent table entries are zero and pass.
+    """
+    return _kernel_violation(p, kernel, lambda g, t: kernel.value(g, t) ** 2)
+
+
+def _assert_agreement(prop: HVProperty, **readings: bool) -> None:
+    if len(set(readings.values())) > 1:
+        verdicts = " ".join(f"{name}={verdict}" for name, verdict in readings.items())
+        raise InternalCheckError(f"{prop.value}: readings disagree: {verdicts}")
 
 
 def check_locality(p: HVModel) -> PropertyReport:
@@ -71,22 +99,9 @@ def check_locality(p: HVModel) -> PropertyReport:
     k_joint = conditional(m, (XA, XB), (YA, YB, LAM))
     k_a = conditional(m, (XA,), (YA, LAM))
     k_b = conditional(m, (XB,), (YB, LAM))
-    xa_atoms = m.layout.space(XA).atoms
-    xb_atoms = m.layout.space(XB).atoms
-
-    witness = None
-    for ya, yb, lam in k_joint.given_atoms():
-        for xa in xa_atoms:
-            for xb in xb_atoms:
-                lhs = k_joint.value((ya, yb, lam), (xa, xb))
-                rhs = k_a.value((ya, lam), (xa,)) * k_b.value((yb, lam), (xb,))
-                if lhs != rhs:
-                    witness = _witness((XA, XB, YA, YB, LAM), (xa, xb, ya, yb, lam), lhs, rhs)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = _kernel_violation(
+        p, k_joint, lambda g, t: k_a.value((g[0], g[2]), t[:1]) * k_b.value((g[1], g[2]), t[1:])
+    )
 
     fam = named_marginals(p)
     via_fiber = (
@@ -94,7 +109,7 @@ def check_locality(p: HVModel) -> PropertyReport:
         and is_fiber_product(fam.p_a, fam.q_a, fam.r, (YA, LAM))
         and is_fiber_product(fam.p_b, fam.q_b, fam.r, (YB, LAM))
     )
-    _assert_agreement(HVProperty.LOCALITY, witness is None, via_fiber)
+    _assert_agreement(HVProperty.LOCALITY, equation=witness is None, fiber=via_fiber)
     return PropertyReport(HVProperty.LOCALITY, witness is None, witness)
 
 
@@ -105,35 +120,15 @@ def check_parameter_independence(p: HVModel) -> PropertyReport:
     k_a_own = conditional(m, (XA,), (YA, LAM))
     k_b_both = conditional(m, (XB,), (YA, YB, LAM))
     k_b_own = conditional(m, (XB,), (YB, LAM))
-    xa_atoms = m.layout.space(XA).atoms
-    xb_atoms = m.layout.space(XB).atoms
-
-    witness = None
-    for ya, yb, lam in k_a_both.given_atoms():
-        for xa in xa_atoms:
-            lhs = k_a_both.value((ya, yb, lam), (xa,))
-            rhs = k_a_own.value((ya, lam), (xa,))
-            if lhs != rhs:
-                witness = _witness((XA, YA, YB, LAM), (xa, ya, yb, lam), lhs, rhs)
-                break
-        if witness:
-            break
-    if witness is None:
-        for ya, yb, lam in k_b_both.given_atoms():
-            for xb in xb_atoms:
-                lhs = k_b_both.value((ya, yb, lam), (xb,))
-                rhs = k_b_own.value((yb, lam), (xb,))
-                if lhs != rhs:
-                    witness = _witness((XB, YA, YB, LAM), (xb, ya, yb, lam), lhs, rhs)
-                    break
-            if witness:
-                break
+    witness = _kernel_violation(
+        p, k_a_both, lambda g, t: k_a_own.value((g[0], g[2]), t)
+    ) or _kernel_violation(p, k_b_both, lambda g, t: k_b_own.value((g[1], g[2]), t))
 
     fam = named_marginals(p)
     via_fiber = is_fiber_product(fam.p_a, fam.q_a, fam.r, (YA, LAM)) and is_fiber_product(
         fam.p_b, fam.q_b, fam.r, (YB, LAM)
     )
-    _assert_agreement(HVProperty.PARAMETER_INDEPENDENCE, witness is None, via_fiber)
+    _assert_agreement(HVProperty.PARAMETER_INDEPENDENCE, equation=witness is None, fiber=via_fiber)
     return PropertyReport(HVProperty.PARAMETER_INDEPENDENCE, witness is None, witness)
 
 
@@ -143,26 +138,11 @@ def check_outcome_independence(p: HVModel) -> PropertyReport:
     k_joint = conditional(m, (XA, XB), (YA, YB, LAM))
     k_a = conditional(m, (XA,), (YA, YB, LAM))
     k_b = conditional(m, (XB,), (YA, YB, LAM))
-    xa_atoms = m.layout.space(XA).atoms
-    xb_atoms = m.layout.space(XB).atoms
-
-    witness = None
-    for given in k_joint.given_atoms():
-        for xa in xa_atoms:
-            for xb in xb_atoms:
-                lhs = k_joint.value(given, (xa, xb))
-                rhs = k_a.value(given, (xa,)) * k_b.value(given, (xb,))
-                if lhs != rhs:
-                    witness = _witness((XA, XB, YA, YB, LAM), (xa, xb) + given, lhs, rhs)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = _kernel_violation(p, k_joint, lambda g, t: k_a.value(g, t[:1]) * k_b.value(g, t[1:]))
 
     fam = named_marginals(p)
     via_fiber = is_fiber_product(m, fam.p_a, fam.p_b, (YA, YB, LAM))
-    _assert_agreement(HVProperty.OUTCOME_INDEPENDENCE, witness is None, via_fiber)
+    _assert_agreement(HVProperty.OUTCOME_INDEPENDENCE, equation=witness is None, fiber=via_fiber)
     return PropertyReport(HVProperty.OUTCOME_INDEPENDENCE, witness is None, witness)
 
 
@@ -174,8 +154,8 @@ def check_lambda_independence(p: HVModel) -> PropertyReport:
     equivalent readings (conditional-of-lam constancy, product equality,
     atomwise factorization) are evaluated and must agree.
     """
-    fam = named_marginals(p)
-    r, p_y, p_lam = fam.r, fam.p_y, fam.p_lam
+    r = marginal(p.measure, (YA, YB, LAM))
+    p_y, p_lam = marginal(r, (YA, YB)), marginal(r, (LAM,))
 
     # atomwise factorization; positive atoms suffice for the verdict
     # (matching on the support forces the zero atoms to match by mass),
@@ -186,71 +166,51 @@ def check_lambda_independence(p: HVModel) -> PropertyReport:
     )
     witness = None
     if not factorizes:
-        for ya, yb, lam in r.layout.atoms():
-            lhs = r.weight((ya, yb, lam))
-            rhs = p_y.weight((ya, yb)) * p_lam.weight((lam,))
-            if lhs != rhs:
-                witness = _witness((YA, YB, LAM), (ya, yb, lam), lhs, rhs)
-                break
+        witness = _first_violation(
+            (YA, YB, LAM),
+            r.layout.atoms(),
+            ((),),
+            lambda atom, _: r.weight(atom),
+            lambda atom, _: p_y.weight(atom[:2]) * p_lam.weight(atom[2:]),
+        )
 
     via_product = measures_equal(r, product(p_y, p_lam))
 
-    k = conditional(p.measure, (LAM,), (YA, YB))
+    k = conditional(r, (LAM,), (YA, YB))
     via_constancy = all(
         k.value(y, (lam,)) == p_lam.weight((lam,))
         for y in k.given_atoms()
         for lam in p.space(LAM).atoms
     )
 
-    if not (factorizes == via_product == via_constancy):
-        raise InternalCheckError(
-            f"lambda-independence readings disagree: atomwise={factorizes} "
-            f"product={via_product} constancy={via_constancy}"
-        )
+    _assert_agreement(
+        HVProperty.LAMBDA_INDEPENDENCE,
+        atomwise=factorizes,
+        product=via_product,
+        constancy=via_constancy,
+    )
     return PropertyReport(HVProperty.LAMBDA_INDEPENDENCE, factorizes, witness)
-
-
-def _zero_one_witness(kernel, coords, prepend=()):
-    """First strictly interior conditional, if any.
-
-    A value v is in {0, 1} exactly when v equals its own square, so the
-    witness reports (v, v*v).  Absent table entries are zero and pass.
-    """
-    for given in kernel.given_atoms():
-        for target, value in kernel.row(given).items():
-            if value * value != value:
-                return _witness(coords, prepend + target + given, value, value * value)
-    return None
 
 
 def check_weak_determinism(p: HVModel) -> PropertyReport:
     """Both settings plus lam almost surely pin down the joint outcome."""
     m = p.measure
-    k_joint = conditional(m, (XA, XB), (YA, YB, LAM))
-    witness = _zero_one_witness(k_joint, (XA, XB, YA, YB, LAM))
+    witness = _zero_one_violation(p, conditional(m, (XA, XB), (YA, YB, LAM)))
 
     # equivalent per-party reading: each single outcome conditional is 0/1
     k_a = conditional(m, (XA,), (YA, YB, LAM))
     k_b = conditional(m, (XB,), (YA, YB, LAM))
-    per_party = (
-        _zero_one_witness(k_a, (XA, YA, YB, LAM)) is None
-        and _zero_one_witness(k_b, (XB, YA, YB, LAM)) is None
-    )
-    if (witness is None) != per_party:
-        raise InternalCheckError(
-            f"weak-determinism readings disagree: joint={witness is None} per-party={per_party}"
-        )
+    per_party = _zero_one_violation(p, k_a) is None and _zero_one_violation(p, k_b) is None
+    _assert_agreement(HVProperty.WEAK_DETERMINISM, joint=witness is None, per_party=per_party)
     return PropertyReport(HVProperty.WEAK_DETERMINISM, witness is None, witness)
 
 
 def check_strong_determinism(p: HVModel) -> PropertyReport:
     """Each party's own setting plus lam almost surely pins down its outcome."""
     m = p.measure
-    k_a = conditional(m, (XA,), (YA, LAM))
-    witness = _zero_one_witness(k_a, (XA, YA, LAM))
-    if witness is None:
-        k_b = conditional(m, (XB,), (YB, LAM))
-        witness = _zero_one_witness(k_b, (XB, YB, LAM))
+    witness = _zero_one_violation(p, conditional(m, (XA,), (YA, LAM))) or _zero_one_violation(
+        p, conditional(m, (XB,), (YB, LAM))
+    )
     return PropertyReport(HVProperty.STRONG_DETERMINISM, witness is None, witness)
 
 

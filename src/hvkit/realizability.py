@@ -31,7 +31,7 @@ from .measure import (
     conditional,
     marginal,
 )
-from .models import EmpiricalModel, HVModel, LAM, XA, XB, YA, YB, realizes
+from .models import EmpiricalModel, HVModel, LAM, PSI_COORDS, XA, XB, YA, YB, realizes
 from .properties import (
     check_lambda_independence,
     check_locality,
@@ -102,11 +102,13 @@ def _sign(space: FiniteSpace, label: str) -> int:
 
 
 def _context_kernel(e: EmpiricalModel):
-    """Positive contexts (canonical order) and the conditional behavior there."""
-    settings = marginal(e.measure, (YA, YB))
+    """The conditional behavior and its positive contexts, in canonical order."""
     kernel = conditional(e.measure, (XA, XB), (YA, YB))
-    contexts = list(kernel.given_atoms())
-    return settings, kernel, contexts
+    return kernel, list(kernel.given_atoms())
+
+
+def _two_by_two(e: EmpiricalModel) -> bool:
+    return all(len(e.space(name)) == 2 for name in PSI_COORDS)
 
 
 def chsh_value(e: EmpiricalModel) -> Fraction:
@@ -124,32 +126,23 @@ def chsh_value(e: EmpiricalModel) -> Fraction:
     Alice's list as (90, 0).  ``local_hvm_exists`` finds a violation
     whatever the order.
     """
-    xa, xb = e.space(XA), e.space(XB)
-    ya, yb = e.space(YA), e.space(YB)
-    if not (len(ya) == len(yb) == len(xa) == len(xb) == 2):
+    if not _two_by_two(e):
         raise DomainError("requires exactly 2 settings and 2 outcomes per party")
-    _, kernel, _ = _context_kernel(e)
-
-    def correlator(i: int, j: int) -> Fraction:
-        context = (ya.atoms[i], yb.atoms[j])
+    kernel, contexts = _context_kernel(e)
+    for context in cartesian(e.space(YA).atoms, e.space(YB).atoms):
         if not kernel.defined_at(context):
             raise DomainError(f"context {context!r} has zero probability")
-        return sum(
-            (
-                _sign(xa, oa) * _sign(xb, ob) * kernel.value(context, (oa, ob))
-                for oa in xa.atoms
-                for ob in xb.atoms
-            ),
-            ZERO,
-        )
+    # the first sign variant is (+, +, +, -) over the contexts in canonical order
+    return _evaluate_functional(next(_correlator_variants(e, kernel, contexts)), kernel, contexts)
 
-    return correlator(0, 0) + correlator(0, 1) + correlator(1, 0) - correlator(1, 1)
+
+def _strategy_outcome(strategy, ya, yb, context) -> tuple[str, str]:
+    """The outcome pair a deterministic strategy produces at a context."""
+    return strategy.outcomes_a[ya.index(context[0])], strategy.outcomes_b[yb.index(context[1])]
 
 
 def _strategy_behavior(strategy, ya, yb, context, outcome) -> Fraction:
-    i, j = ya.index(context[0]), yb.index(context[1])
-    hit = strategy.outcomes_a[i] == outcome[0] and strategy.outcomes_b[j] == outcome[1]
-    return ONE if hit else ZERO
+    return ONE if _strategy_outcome(strategy, ya, yb, context) == outcome else ZERO
 
 
 def _evaluate_functional(functional, kernel, contexts) -> Fraction:
@@ -163,21 +156,15 @@ def _evaluate_functional(functional, kernel, contexts) -> Fraction:
 
 
 def _evaluate_functional_on_strategy(functional, strategy, ya, yb, contexts) -> Fraction:
-    total = ZERO
-    for context in contexts:
-        i, j = ya.index(context[0]), yb.index(context[1])
-        outcome = (strategy.outcomes_a[i], strategy.outcomes_b[j])
-        coefficient = functional.get(outcome + context)
-        if coefficient is not None:
-            total += coefficient
-    return total
+    atoms = (_strategy_outcome(strategy, ya, yb, context) + context for context in contexts)
+    return sum((functional.get(atom, ZERO) for atom in atoms), ZERO)
 
 
 def _correlator_variants(e: EmpiricalModel, kernel, contexts):
     """Sign variants of the correlator functional, canonical order first."""
     xa, xb = e.space(XA), e.space(XB)
     ya, yb = e.space(YA), e.space(YB)
-    if not (len(ya) == len(yb) == len(xa) == len(xb) == 2) or len(contexts) != 4:
+    if not _two_by_two(e) or len(contexts) != 4:
         return
     for signs in cartesian((1, -1), repeat=4):
         if signs[0] * signs[1] * signs[2] * signs[3] != -1:
@@ -265,10 +252,8 @@ def strategy_hv_model(
         w = weights.get(strategy, ZERO)
         if w == 0:
             continue
-        for (sa, sb), mass in settings.weights.items():
-            oa = strategy.outcomes_a[ya.index(sa)]
-            ob = strategy.outcomes_b[yb.index(sb)]
-            key = (oa, ob, sa, sb, label)
+        for context, mass in settings.weights.items():
+            key = _strategy_outcome(strategy, ya, yb, context) + context + (label,)
             atom_weights[key] = atom_weights.get(key, ZERO) + w * mass
     layout = ProductLayout((e.space(XA), e.space(XB), ya, yb, lam))
     return HVModel(FiniteMeasure(layout, atom_weights))
@@ -285,7 +270,7 @@ def local_hvm_exists(
     determinism before the certificate is returned.
     """
     strategies = enumerate_strategies(e.space(YA), e.space(YB), e.space(XA), e.space(XB), cap)
-    settings, kernel, contexts = _context_kernel(e)
+    kernel, contexts = _context_kernel(e)
     ya, yb = e.space(YA), e.space(YB)
     xa, xb = e.space(XA), e.space(XB)
 

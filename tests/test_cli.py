@@ -221,6 +221,23 @@ class TestGenerateAndChsh:
         ) == 2
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("determinize", str(FIXTURE_DIR / "pr_box.json"), "--method", "empirical"),
+            ("generate", "singlet", "--angles-a", "0", "--angles-b", "0"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_directory_exits_two(self, argv, tmp_path, capsys):
+        out_file = tmp_path / "missing" / "x.json"
+        assert run_cli(*argv, "--out", str(out_file)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out_file}")
+        assert err.count("\n") == 1
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize("name", sorted(FIXTURE_FILES))
     def test_verify_all_fixtures(self, name, capsys):
@@ -231,6 +248,9 @@ class TestVerifyCommand:
 class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):
         env = dict(os.environ)
+        # the child process imports hvkit from this checkout, installed or not
+        src = str(FIXTURE_DIR.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         result = subprocess.run(
             [sys.executable, "-m", "hvkit", "check",
              str(FIXTURE_DIR / "pr_box_singleton_hv.json"), "--property", "locality"],

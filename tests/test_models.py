@@ -21,6 +21,16 @@ from randmodels import rand_empirical, rand_fully_random, rand_product_model
 
 HALF = Fraction(1, 2)
 
+NAMED_COORDS = {
+    "p_a": ("xa", "ya", "yb", "lam"),
+    "p_b": ("xb", "ya", "yb", "lam"),
+    "q_a": ("xa", "ya", "lam"),
+    "q_b": ("xb", "yb", "lam"),
+    "r": ("ya", "yb", "lam"),
+    "p_y": ("ya", "yb"),
+    "p_lam": ("lam",),
+}
+
 
 class TestConstruction:
     def test_coordinate_names_enforced(self):
@@ -129,9 +139,8 @@ class TestNamedMarginals:
         for _ in range(20):
             p = rand_fully_random(rng)
             family = named_marginals(p)
-            assert measures_equal(marginal(family.q_a, ("lam",)), family.p_lam)
-            assert measures_equal(marginal(family.p_a, ("ya", "yb", "lam")), family.r)
-            assert measures_equal(marginal(family.r, ("ya", "yb")), family.p_y)
+            for name, coords in NAMED_COORDS.items():
+                assert measures_equal(getattr(family, name), marginal(p.measure, coords))
 
     def test_realizes_own_empirical(self):
         rng = random.Random(11)

@@ -1,8 +1,13 @@
 """The six property checkers: golden witnesses and logical relationships."""
 
+import hashlib
 import random
 from fractions import Fraction
 
+import pytest
+
+from hvkit import fixtures
+from hvkit.errors import InternalCheckError
 from hvkit.fixtures import (
     correlated_coins_model,
     fair_coin_product_model,
@@ -226,3 +231,129 @@ class TestRelationships:
             p = rand_local_lambda_indep(rng)
             assert check_locality(p).holds
             assert check_lambda_independence(p).holds
+
+
+def bob_signaling_model():
+    """Mirror of the signaling fixture: Bob's outcome copies Alice's setting."""
+    weights = {("0", ya, ya, yb, "l0"): QUARTER for ya in "01" for yb in "01"}
+    return hv_model("01", "01", "01", "01", ("l0",), weights)
+
+
+def report_line(report):
+    w = report.witness
+    if w is None:
+        return f"{report.property.value} holds"
+    atom = ",".join(f"{k}={v}" for k, v in w.assignment)
+    return f"{report.property.value} fails {atom} {w.lhs} {w.rhs}"
+
+
+GOLDEN_REPORTS = {
+    fixtures.pr_box_hv: (
+        "locality fails xa=0,xb=0,ya=0,yb=0,lam=l0 1/2 1/4",
+        "pi holds",
+        "oi fails xa=0,xb=0,ya=0,yb=0,lam=l0 1/2 1/4",
+        "lambda holds",
+        "weakdet fails xa=0,xb=0,ya=0,yb=0,lam=l0 1/2 1/4",
+        "strongdet fails xa=0,ya=0,lam=l0 1/2 1/4",
+    ),
+    fixtures.pr_box_determinized: (
+        "locality holds",
+        "pi holds",
+        "oi holds",
+        "lambda fails ya=0,yb=0,lam=0|0 1/8 3/32",
+        "weakdet holds",
+        "strongdet holds",
+    ),
+    fixtures.rational_singlet_hv: (
+        "locality fails xa=up,xb=up,ya=0,yb=0,lam=l0 0 1/4",
+        "pi holds",
+        "oi fails xa=up,xb=up,ya=0,yb=0,lam=l0 0 1/4",
+        "lambda holds",
+        "weakdet fails xa=up,xb=down,ya=0,yb=0,lam=l0 1/2 1/4",
+        "strongdet fails xa=up,ya=0,lam=l0 1/2 1/4",
+    ),
+    fixtures.signaling_model: (
+        "locality fails xa=0,xb=0,ya=0,yb=0,lam=l0 1 1/2",
+        "pi fails xa=0,ya=0,yb=0,lam=l0 1 1/2",
+        "oi holds",
+        "lambda holds",
+        "weakdet holds",
+        "strongdet fails xa=0,ya=0,lam=l0 1/2 1/4",
+    ),
+    bob_signaling_model: (
+        "locality fails xa=0,xb=0,ya=0,yb=0,lam=l0 1 1/2",
+        "pi fails xb=0,ya=0,yb=0,lam=l0 1 1/2",
+        "oi holds",
+        "lambda holds",
+        "weakdet holds",
+        "strongdet fails xb=0,yb=0,lam=l0 1/2 1/4",
+    ),
+    fixtures.fair_coin_product_model: (
+        "locality holds",
+        "pi holds",
+        "oi holds",
+        "lambda holds",
+        "weakdet fails xa=0,xb=0,ya=0,yb=0,lam=l0 1/4 1/16",
+        "strongdet fails xa=0,ya=0,lam=l0 1/2 1/4",
+    ),
+    fixtures.lambda_copies_setting_model: (
+        "locality holds",
+        "pi holds",
+        "oi holds",
+        "lambda fails ya=0,yb=0,lam=0 1/2 1/4",
+        "weakdet holds",
+        "strongdet holds",
+    ),
+    fixtures.correlated_coins_model: (
+        "locality fails xa=0,xb=0,ya=0,yb=0,lam=l0 1/2 1/4",
+        "pi holds",
+        "oi fails xa=0,xb=0,ya=0,yb=0,lam=l0 1/2 1/4",
+        "lambda holds",
+        "weakdet fails xa=0,xb=0,ya=0,yb=0,lam=l0 1/2 1/4",
+        "strongdet fails xa=0,ya=0,lam=l0 1/2 1/4",
+    ),
+}
+
+
+class TestGoldenReports:
+    """Full witnesses of all six checkers, pinned as golden values."""
+
+    @pytest.mark.parametrize("builder", list(GOLDEN_REPORTS), ids=lambda b: b.__name__)
+    def test_fixture_reports(self, builder):
+        lines = tuple(report_line(r) for r in check_all(builder()))
+        assert lines == GOLDEN_REPORTS[builder]
+
+    def test_zoo_report_digest(self):
+        rng = random.Random(4)
+        digest = hashlib.sha256()
+        for _ in range(200):
+            for report in check_all(rand_hv_mixed(rng)):
+                digest.update((report_line(report) + "\n").encode())
+        assert digest.hexdigest() == (
+            "8e1376202cf91f8f960977899f9c13116d9501d1f9650bb598494a80a51b0ca4"
+        )
+
+
+class TestCrossChecksWired:
+    """A wrong second reading must raise, so the cross-checks really run."""
+
+    @pytest.mark.parametrize(
+        "checker",
+        [check_locality, check_parameter_independence, check_outcome_independence],
+        ids=lambda c: c.__name__,
+    )
+    @pytest.mark.parametrize("builder", [pr_box_hv, fair_coin_product_model], ids=lambda b: b.__name__)
+    def test_wrong_fiber_verdict_raises(self, monkeypatch, checker, builder):
+        model = builder()
+        verdict = checker(model).holds
+        monkeypatch.setattr("hvkit.properties.is_fiber_product", lambda *args: not verdict)
+        with pytest.raises(InternalCheckError):
+            checker(model)
+
+    @pytest.mark.parametrize("builder", [pr_box_hv, lambda_copies_setting_model], ids=lambda b: b.__name__)
+    def test_wrong_product_verdict_raises(self, monkeypatch, builder):
+        model = builder()
+        verdict = check_lambda_independence(model).holds
+        monkeypatch.setattr("hvkit.properties.measures_equal", lambda *args: not verdict)
+        with pytest.raises(InternalCheckError):
+            check_lambda_independence(model)
