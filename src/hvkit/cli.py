@@ -4,9 +4,11 @@ Model files are UTF-8 JSON: a "spaces" object mapping the fixed
 coordinate names (xa, xb, ya, yb, and optionally lam) to atom label
 lists, and a "weights" array of {"atom": {coord: label, ...}, "p": "n/d"}
 entries.  Omitted atoms weigh zero, weights must sum to exactly one, and
-a file without "lam" is an empirical model.  Serialization is
-deterministic (canonical atom order), so parse/serialize round-trips are
-bit-exact.
+a file without "lam" is an empirical model.  A "p" may have at most
+4300 decimal digits in its numerator and in its denominator
+(``hvkit.rationals.MAX_RATIONAL_DIGITS``); longer values are rejected as
+bad input.  Serialization is deterministic (canonical atom order), so
+parse/serialize round-trips are bit-exact.
 
 Exit codes: 0 success / all selected properties hold / feasible;
 1 a property fails, a precondition fails, or the model is infeasible;
@@ -47,6 +49,8 @@ def parse_model_text(text: str) -> Model:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ModelFormatError("not valid JSON: nested too deeply") from None
     if not isinstance(document, dict):
         raise ModelFormatError("top level must be an object")
     spaces = document.get("spaces")
@@ -78,6 +82,8 @@ def parse_model_text(text: str) -> Model:
         atom_map = entry["atom"]
         if not isinstance(atom_map, dict) or set(atom_map) != set(coords):
             raise ModelFormatError(f"{where}: atom must assign exactly {list(coords)}")
+        if not all(isinstance(label, str) for label in atom_map.values()):
+            raise ModelFormatError(f"{where}: atom labels must be strings")
         atom = tuple(atom_map[name] for name in coords)
         try:
             layout.validate_atom(atom)

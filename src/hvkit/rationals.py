@@ -29,16 +29,26 @@ def rational_to_string(value: Fraction) -> str:
 
 _RATIONAL_PATTERN = re.compile(r"-?\d+(/\d+)?\Z")
 
+# The longest numerator or denominator, in decimal digits, that
+# rational_from_string accepts.  It equals CPython's default limit on
+# int/str conversion, so every parsed value prints back unchanged.
+MAX_RATIONAL_DIGITS = 4300
+
 
 def rational_from_string(text: str) -> Fraction:
     """Parse ``"n/d"`` or a bare integer ``"n"``, optionally negative.
 
-    Raises ValueError on anything else, including a zero denominator.
+    Raises ValueError on anything else, including a zero denominator and
+    a numerator or denominator longer than MAX_RATIONAL_DIGITS digits.
     """
     s = text.strip()
     if not _RATIONAL_PATTERN.match(s):
         raise ValueError(f"not a rational: {text!r}")
     num_part, sep, den_part = s.partition("/")
+    if max(len(num_part.lstrip("-")), len(den_part)) > MAX_RATIONAL_DIGITS:
+        raise ValueError(
+            f"rational has more than {MAX_RATIONAL_DIGITS} digits in its numerator or denominator"
+        )
     if not sep:
         return Fraction(int(num_part))
     denominator = int(den_part)

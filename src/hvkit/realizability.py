@@ -141,10 +141,6 @@ def _strategy_outcome(strategy, ya, yb, context) -> tuple[str, str]:
     return strategy.outcomes_a[ya.index(context[0])], strategy.outcomes_b[yb.index(context[1])]
 
 
-def _strategy_behavior(strategy, ya, yb, context, outcome) -> Fraction:
-    return ONE if _strategy_outcome(strategy, ya, yb, context) == outcome else ZERO
-
-
 def _evaluate_functional(functional, kernel, contexts) -> Fraction:
     total = ZERO
     for context in contexts:
@@ -281,10 +277,19 @@ def local_hvm_exists(
             for ob in xb.atoms:
                 row_keys.append(((oa, ob), context))
                 rhs.append(kernel.value(context, (oa, ob)))
-    columns = [
-        [_strategy_behavior(s, ya, yb, context, outcome) for outcome, context in row_keys]
-        for s in strategies
-    ]
+    # one 0/1 column per strategy: a 1 in the row of the outcome pair it
+    # produces at each context, whose rows form a block of |xa| * |xb|
+    positions = [(ya.index(context[0]), yb.index(context[1])) for context in contexts]
+    width_b = len(xb)
+    block = len(xa) * width_b
+    columns = []
+    for s in strategies:
+        index_a = [xa.index(o) for o in s.outcomes_a]
+        index_b = [xb.index(o) for o in s.outcomes_b]
+        column = [0] * len(rhs)
+        for c, (i, j) in enumerate(positions):
+            column[c * block + index_a[i] * width_b + index_b[j]] = 1
+        columns.append(column)
 
     result = solve_feasibility(columns, rhs)
     if result.feasible:
@@ -294,13 +299,12 @@ def local_hvm_exists(
         total = sum(weights.values(), ZERO)
         if total != ONE:
             raise InternalCheckError(f"mixture weights sum to {total}")
-        for (outcome, context), target in zip(row_keys, rhs):
-            reproduced = sum(
-                (w * _strategy_behavior(s, ya, yb, context, outcome) for s, w in weights.items()),
-                ZERO,
-            )
-            if reproduced != target:
-                raise InternalCheckError("mixture does not reproduce the behavior")
+        reproduced = dict.fromkeys(row_keys, ZERO)
+        for s, w in weights.items():
+            for context in contexts:
+                reproduced[(_strategy_outcome(s, ya, yb, context), context)] += w
+        if list(reproduced.values()) != rhs:
+            raise InternalCheckError("mixture does not reproduce the behavior")
 
         model = strategy_hv_model(e, strategies, weights)
         if not realizes(model, e):

@@ -13,6 +13,7 @@ from hvkit.cli import load_model_file, main, parse_model_text, serialize_model
 from hvkit.errors import ModelFormatError
 from hvkit.fixtures import FIXTURE_FILES
 from hvkit.models import EmpiricalModel, HVModel
+from hvkit.rationals import MAX_RATIONAL_DIGITS
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -236,6 +237,53 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out_file}")
         assert err.count("\n") == 1
+
+
+def single_atom_hv_document(p="1/1", label="0"):
+    return {
+        "spaces": {"xa": ["0"], "xb": ["0"], "ya": ["0"], "yb": ["0"], "lam": ["l0"]},
+        "weights": [{"atom": {"xa": label, "xb": "0", "ya": "0", "yb": "0", "lam": "l0"}, "p": p}],
+    }
+
+
+class TestInputBoundaries:
+    """Hostile files end in exit 2 with one line on stderr, never a traceback."""
+
+    def check_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        assert run_cli("check", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        return err
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        text = "[" * 200_000
+        with pytest.raises(ModelFormatError, match="nested too deeply"):
+            parse_model_text(text)
+        self.check_exits_two(tmp_path, capsys, text)
+
+    @pytest.mark.parametrize("label", [["0"], {"0": "0"}, None])
+    def test_non_string_atom_label(self, tmp_path, capsys, label):
+        text = json.dumps(single_atom_hv_document(label=label))
+        with pytest.raises(ModelFormatError, match="labels must be strings"):
+            parse_model_text(text)
+        self.check_exits_two(tmp_path, capsys, text)
+
+    def test_weight_at_the_digit_cap_is_accepted(self, tmp_path, capsys):
+        n = "7" * MAX_RATIONAL_DIGITS
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(single_atom_hv_document(p=f"{n}/{n}")))
+        assert run_cli("check", str(path), "--property", "locality") == 0
+
+    @pytest.mark.parametrize("form", ["{n}/{n}", "1/{n}", "-{n}"])
+    def test_weight_past_the_digit_cap_exits_two(self, tmp_path, capsys, form):
+        n = "7" * (MAX_RATIONAL_DIGITS + 1)
+        text = json.dumps(single_atom_hv_document(p=form.format(n=n)))
+        err = self.check_exits_two(tmp_path, capsys, text)
+        assert f"more than {MAX_RATIONAL_DIGITS} digits" in err
+        assert "set_int_max_str_digits" not in err
 
 
 class TestVerifyCommand:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hvkit.errors import DomainError
 from hvkit.rationals import (
+    MAX_RATIONAL_DIGITS,
     approximate_from_float,
     rational_from_string,
     rational_to_string,
@@ -70,6 +71,14 @@ class TestSerialization:
     @given(small_fractions())
     def test_round_trip(self, q):
         assert rational_from_string(rational_to_string(q)) == q
+
+    def test_digit_cap(self):
+        n = "9" * MAX_RATIONAL_DIGITS
+        assert rational_from_string(f"-{n}/{n}") == -1
+        assert rational_to_string(rational_from_string(f"{n}/7")) == f"{n}/7"
+        for text in (f"{n}9", f"-{n}9", f"1/{n}9"):
+            with pytest.raises(ValueError, match=f"more than {MAX_RATIONAL_DIGITS} digits"):
+                rational_from_string(text)
 
 
 def best_approximation_brute_force(x: Fraction, max_denominator: int) -> Fraction:
