@@ -38,11 +38,9 @@ from .measure import (
 from .models import (
     EmpiricalModel,
     HVModel,
-    MarginalFamily,
     empirical_model,
     equivalent,
     hv_model,
-    named_marginals,
     realizes,
 )
 from .properties import (

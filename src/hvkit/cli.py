@@ -7,8 +7,9 @@ entries.  Omitted atoms weigh zero, weights must sum to exactly one, and
 a file without "lam" is an empirical model.  A "p" may have at most
 4300 decimal digits in its numerator and in its denominator
 (``hvkit.rationals.MAX_RATIONAL_DIGITS``); longer values are rejected as
-bad input.  Serialization is deterministic (canonical atom order), so
-parse/serialize round-trips are bit-exact.
+bad input, and a result past that cap is refused with exit 2 rather than
+printed or written.  Serialization is deterministic (canonical atom
+order), so parse/serialize round-trips are bit-exact.
 
 Exit codes: 0 success / all selected properties hold / feasible;
 1 a property fails, a precondition fails, or the model is infeasible;
@@ -25,7 +26,7 @@ from fractions import Fraction
 from .determinize import determinize_empirical, determinize_local
 from .errors import HVKitError, ModelFormatError, PreconditionError
 from .measure import FiniteMeasure, FiniteSpace, ProductLayout, marginal, measures_equal
-from .models import EmpiricalModel, HV_COORDS, HVModel, PSI_COORDS, named_marginals, realizes
+from .models import EmpiricalModel, HV_COORDS, HVModel, LAM, PSI_COORDS, XA, YA, realizes
 from .properties import (
     HVProperty,
     PropertyReport,
@@ -122,15 +123,17 @@ def load_model_file(path: str) -> Model:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from None
     return parse_model_text(text)
 
 
 def save_model_file(model: Model, path: str) -> None:
+    # serialize first, so a value over the digit cap leaves no partial file
+    text = serialize_model(model)
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(serialize_model(model))
+            handle.write(text)
     except OSError as exc:
         raise ModelFormatError(f"cannot write {path}: {exc}") from None
 
@@ -319,8 +322,9 @@ def cmd_verify(args) -> int:
         # its fiber-product characterization and raises on disagreement
         for report in check_all(model):
             lines.append(f"cross-check {report.property.value}: consistent (holds={report.holds})")
-        family = named_marginals(model)
-        nested = measures_equal(marginal(family.q_a, ("lam",)), family.p_lam)
+        # lam's marginal taken through Alice's (xa, ya, lam) marginal and taken directly
+        m = model.measure
+        nested = measures_equal(marginal(marginal(m, (XA, YA, LAM)), (LAM,)), marginal(m, (LAM,)))
         lines.append(f"cross-check nested marginals: {'consistent' if nested else 'INCONSISTENT'}")
         ok = ok and nested
     else:

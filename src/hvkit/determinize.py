@@ -29,6 +29,7 @@ from typing import Mapping
 from .errors import InternalCheckError, PreconditionError
 from .fiber import fiber_product
 from .measure import (
+    LABEL_SEPARATOR,
     Atom,
     FiniteMeasure,
     FiniteSpace,
@@ -45,8 +46,6 @@ from .properties import check_lambda_independence, check_locality, check_strong_
 from .rationals import ONE, ZERO
 
 _PARTY_COORDS = {"a": (XA, YA), "b": (XB, YB)}
-
-LAM_SEPARATOR = "|"
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,7 @@ def joint_outcome_tags(e: EmpiricalModel) -> tuple[str, ...]:
     """Hidden-space labels: one tagged copy of each joint outcome pair."""
     xa_atoms = e.space(XA).atoms
     xb_atoms = e.space(XB).atoms
-    return tuple(f"{xa}{LAM_SEPARATOR}{xb}" for xa, xb in cartesian(xa_atoms, xb_atoms))
+    return tuple(f"{xa}{LABEL_SEPARATOR}{xb}" for xa, xb in cartesian(xa_atoms, xb_atoms))
 
 
 def determinize_empirical(e: EmpiricalModel) -> HVModel:
@@ -173,7 +172,7 @@ def determinize_empirical(e: EmpiricalModel) -> HVModel:
     diagonal = FiniteMeasure(
         diag_layout,
         {
-            (xa, xb, f"{xa}{LAM_SEPARATOR}{xb}"): w
+            (xa, xb, f"{xa}{LABEL_SEPARATOR}{xb}"): w
             for (xa, xb), w in outcome_dist.weights.items()
         },
     )
@@ -181,7 +180,7 @@ def determinize_empirical(e: EmpiricalModel) -> HVModel:
     return HVModel(joined)
 
 
-def _interval_side(p: HVModel, party: str, r: FiniteMeasure) -> tuple[FiniteMeasure, FiniteMeasure]:
+def _interval_side(p: HVModel, party: str) -> tuple[FiniteMeasure, FiniteMeasure]:
     """Build one party's cell-length measure and the coupling of outcome
     to (own setting, lam, cell)."""
     outcome_coord, setting_coord = _PARTY_COORDS[party]
@@ -194,7 +193,7 @@ def _interval_side(p: HVModel, party: str, r: FiniteMeasure) -> tuple[FiniteMeas
         dict(zip(((lbl,) for lbl in labels), cells.lengths())),
     )
 
-    setting_lam_mass = marginal(r, (setting_coord, LAM))
+    setting_lam_mass = marginal(p.measure, (setting_coord, LAM))
     weights: dict[Atom, Fraction] = {}
     for given, intervals in partition.rows.items():
         mass = setting_lam_mass.weight(given)
@@ -229,12 +228,11 @@ def determinize_local(p: HVModel) -> HVModel:
             "input's hidden variable is not independent of the settings", report=lam_indep
         )
 
-    r = marginal(p.measure, (YA, YB, LAM))
-    lengths_a, coupling_a = _interval_side(p, "a", r)
-    lengths_b, coupling_b = _interval_side(p, "b", r)
+    lengths_a, coupling_a = _interval_side(p, "a")
+    lengths_b, coupling_b = _interval_side(p, "b")
 
     # randomness cells are independent of everything else
-    r_bar = product(product(r, lengths_a), lengths_b)
+    r_bar = product(product(marginal(p.measure, (YA, YB, LAM)), lengths_a), lengths_b)
 
     extended_a = fiber_product(coupling_a, r_bar, over=(YA, LAM, "cell_a"))
     extended_b = fiber_product(coupling_b, r_bar, over=(YB, LAM, "cell_b"))
@@ -244,7 +242,7 @@ def determinize_local(p: HVModel) -> HVModel:
     )
     # hidden space becomes old-lam x cell_a x cell_b, fused into one
     # coordinate with labels "<lam>|<cell_a>|<cell_b>"
-    fused = fuse_factors(joined, (LAM, "cell_a", "cell_b"), LAM, separator=LAM_SEPARATOR)
+    fused = fuse_factors(joined, (LAM, "cell_a", "cell_b"), LAM)
     result = HVModel(fused)
 
     # self-verification: the construction is intricate enough that silent

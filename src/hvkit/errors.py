@@ -26,7 +26,7 @@ class PreconditionError(HVKitError, ValueError):
 
 
 class ResourceLimitError(HVKitError, RuntimeError):
-    """An enumeration would exceed the configured size cap."""
+    """An enumeration or a result would exceed a documented size cap."""
 
 
 class ModelFormatError(HVKitError, ValueError):

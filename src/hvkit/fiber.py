@@ -129,29 +129,18 @@ def is_fiber_product(p: FiniteMeasure, q: FiniteMeasure, r: FiniteMeasure, over)
     kpx = conditional(p_aligned, x_names, z_names)
     kpy = conditional(p_aligned, y_names, z_names)
 
-    via_inputs = True
-    via_extension = True
-    for z in k_joint.given_atoms():
-        for x in x_atoms:
-            for y in y_atoms:
-                joint = k_joint.value(z, x + y)
-                if joint != kq.value(z, x) * kr.value(z, y):
-                    via_inputs = False
-                if joint != kpx.value(z, x) * kpy.value(z, y):
-                    via_extension = False
+    cells = [(z, x, y) for z in k_joint.given_atoms() for x in x_atoms for y in y_atoms]
+    via_inputs = all(k_joint.value(z, x + y) == kq.value(z, x) * kr.value(z, y) for z, x, y in cells)
+    via_extension = all(k_joint.value(z, x + y) == kpx.value(z, x) * kpy.value(z, y) for z, x, y in cells)
 
     # conditional on the enlarged algebra must collapse to the shared one
     k_enlarged = conditional(p_aligned, x_names, y_names + z_names)
     z_positions = [i for i, n in enumerate(y_names + z_names) if n in set(z_names)]
-    via_collapse = True
-    for yz in k_enlarged.given_atoms():
-        z = tuple(yz[i] for i in z_positions)
-        for x in x_atoms:
-            if k_enlarged.value(yz, x) != kpx.value(z, x):
-                via_collapse = False
-                break
-        if not via_collapse:
-            break
+    via_collapse = all(
+        k_enlarged.value(yz, x) == kpx.value(tuple(yz[i] for i in z_positions), x)
+        for yz in k_enlarged.given_atoms()
+        for x in x_atoms
+    )
 
     if not (via_inputs == via_extension == via_collapse):
         raise InternalCheckError(

@@ -11,20 +11,28 @@ rather than filled in, and "almost surely" throughout the package means
 "at every atom of strictly positive weight".
 
 All types are immutable after construction and all operations are pure,
-so values can be shared freely between threads.
+so values can be shared freely between threads.  Each measure memoizes
+the results of :func:`marginal` and :func:`conditional` taken on it,
+keyed by the function and its coordinate arguments as given, so a
+repeated call returns the first result.  That is safe under threads:
+an entry is only ever set to a value equal to a fresh computation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError, LayoutError
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, _shown
 
 Atom = tuple[str, ...]
+
+# Joins the labels of the coordinates fuse_factors merges into one.
+LABEL_SEPARATOR = "|"
 
 
 @dataclass(frozen=True)
@@ -130,7 +138,8 @@ class FiniteMeasure:
 
     The weight map is normalized at construction: float weights are
     rejected, zero entries are dropped, and the support is stored in
-    canonical atom order.
+    canonical atom order.  The memo of marginals and conditionals is not
+    a field, so equality and repr ignore it.
     """
 
     layout: ProductLayout
@@ -147,16 +156,17 @@ class FiniteMeasure:
             if not isinstance(raw, Fraction):
                 raise DomainError(f"weights must be exact rationals, got {type(raw).__name__} for {atom!r}")
             if raw < 0:
-                raise DomainError(f"negative weight {raw} at atom {atom!r}")
+                raise DomainError(f"negative weight {_shown(raw)} at atom {atom!r}")
             if atom in cleaned:
                 raise DomainError(f"duplicate atom {atom!r} in weight map")
             total += raw
             if raw != 0:
                 cleaned[atom] = raw
         if total != ONE:
-            raise DomainError(f"weights must sum to exactly 1, got {total}")
+            raise DomainError(f"weights must sum to exactly 1, got {_shown(total)}")
         ordered = dict(sorted(cleaned.items(), key=lambda kv: self.layout.sort_key(kv[0])))
         object.__setattr__(self, "weights", ordered)
+        object.__setattr__(self, "_memo", {})
 
     def weight(self, atom: Atom) -> Fraction:
         return self.weights.get(tuple(atom), ZERO)
@@ -203,6 +213,20 @@ class CondProb:
         return sum((row.get(a, ZERO) for a in set(map(tuple, target_atoms))), ZERO)
 
 
+def _memoized(fn):
+    """Cache ``fn(p, *coords)`` on ``p``; a call that raises caches nothing."""
+
+    @functools.wraps(fn)
+    def cached(p: FiniteMeasure, *coords):
+        key = (fn.__name__,) + tuple(map(tuple, coords))
+        if key not in p._memo:
+            p._memo[key] = fn(p, *key[1:])
+        return p._memo[key]
+
+    return cached
+
+
+@_memoized
 def marginal(p: FiniteMeasure, coords: Iterable[str]) -> FiniteMeasure:
     """Marginal of ``p`` on a nonempty subset of its coordinates."""
     names = p.layout.ordered(coords)
@@ -214,6 +238,7 @@ def marginal(p: FiniteMeasure, coords: Iterable[str]) -> FiniteMeasure:
     return FiniteMeasure(p.layout.sublayout(names), acc)
 
 
+@_memoized
 def conditional(p: FiniteMeasure, target: Iterable[str], given: Iterable[str]) -> CondProb:
     """Conditional distribution of the target coordinates given the others.
 
@@ -288,8 +313,8 @@ def reorder(p: FiniteMeasure, names: Iterable[str]) -> FiniteMeasure:
     return FiniteMeasure(layout, weights)
 
 
-def fuse_factors(p: FiniteMeasure, coords: Iterable[str], new_name: str, separator: str = "|") -> FiniteMeasure:
-    """Merge several coordinates into one whose labels join theirs.
+def fuse_factors(p: FiniteMeasure, coords: Iterable[str], new_name: str) -> FiniteMeasure:
+    """Merge several coordinates into one whose labels join theirs with LABEL_SEPARATOR.
 
     The fused coordinate's atom list is the full cartesian product of the
     merged factors in canonical order, so zero-weight combinations remain
@@ -304,7 +329,7 @@ def fuse_factors(p: FiniteMeasure, coords: Iterable[str], new_name: str, separat
     keep_pos = p.layout.positions(keep)
 
     labels = tuple(
-        separator.join(combo)
+        LABEL_SEPARATOR.join(combo)
         for combo in cartesian(*(p.layout.space(n).atoms for n in fused))
     )
     layout = ProductLayout(
@@ -312,7 +337,7 @@ def fuse_factors(p: FiniteMeasure, coords: Iterable[str], new_name: str, separat
     )
     weights = {}
     for atom, w in p.weights.items():
-        fused_label = separator.join(atom[i] for i in fused_pos)
+        fused_label = LABEL_SEPARATOR.join(atom[i] for i in fused_pos)
         key = tuple(atom[i] for i in keep_pos) + (fused_label,)
         weights[key] = w
     return FiniteMeasure(layout, weights)

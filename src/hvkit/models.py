@@ -56,41 +56,6 @@ class HVModel:
         return EmpiricalModel(marginal(self.measure, PSI_COORDS))
 
 
-@dataclass(frozen=True)
-class MarginalFamily:
-    """The seven standard marginals of a hidden-variable model.
-
-    p_a / p_b drop the other party's outcome; q_a / q_b keep only a
-    party's own outcome and setting with the hidden coordinate; r is the
-    settings-plus-hidden marginal; p_y and p_lam are the settings-only
-    and hidden-only marginals.
-    """
-
-    p_a: FiniteMeasure
-    p_b: FiniteMeasure
-    q_a: FiniteMeasure
-    q_b: FiniteMeasure
-    r: FiniteMeasure
-    p_y: FiniteMeasure
-    p_lam: FiniteMeasure
-
-
-def named_marginals(p: HVModel) -> MarginalFamily:
-    """The seven marginals, each taken from the smallest one already built that contains it."""
-    p_a = marginal(p.measure, (XA, YA, YB, LAM))
-    p_b = marginal(p.measure, (XB, YA, YB, LAM))
-    r = marginal(p_a, (YA, YB, LAM))
-    return MarginalFamily(
-        p_a=p_a,
-        p_b=p_b,
-        q_a=marginal(p_a, (XA, YA, LAM)),
-        q_b=marginal(p_b, (XB, YB, LAM)),
-        r=r,
-        p_y=marginal(r, (YA, YB)),
-        p_lam=marginal(r, (LAM,)),
-    )
-
-
 def _check_psi_compatible(a_layout: ProductLayout, b_layout: ProductLayout) -> None:
     for name in PSI_COORDS:
         if a_layout.space(name).atoms != b_layout.space(name).atoms:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import InternalCheckError
 from .fiber import is_fiber_product
 from .measure import conditional, marginal, measures_equal, product
-from .models import HVModel, LAM, XA, XB, YA, YB, named_marginals
+from .models import HVModel, LAM, XA, XB, YA, YB
 
 
 class HVProperty(enum.Enum):
@@ -93,6 +93,21 @@ def _assert_agreement(prop: HVProperty, **readings: bool) -> None:
         raise InternalCheckError(f"{prop.value}: readings disagree: {verdicts}")
 
 
+def _outcome_fiber(m) -> bool:
+    """Outcome independence as a fiber identity: m = p_a x_(ya, yb, lam) p_b."""
+    p_a, p_b = marginal(m, (XA, YA, YB, LAM)), marginal(m, (XB, YA, YB, LAM))
+    return is_fiber_product(m, p_a, p_b, (YA, YB, LAM))
+
+
+def _parameter_fibers(m) -> bool:
+    """Parameter independence as fiber identities: p_a = q_a x_(ya, lam) r, p_b = q_b x_(yb, lam) r."""
+    p_a, p_b = marginal(m, (XA, YA, YB, LAM)), marginal(m, (XB, YA, YB, LAM))
+    r = marginal(p_a, (YA, YB, LAM))
+    return is_fiber_product(p_a, marginal(p_a, (XA, YA, LAM)), r, (YA, LAM)) and is_fiber_product(
+        p_b, marginal(p_b, (XB, YB, LAM)), r, (YB, LAM)
+    )
+
+
 def check_locality(p: HVModel) -> PropertyReport:
     """Joint outcome conditional factors into per-party own-setting conditionals."""
     m = p.measure
@@ -103,12 +118,8 @@ def check_locality(p: HVModel) -> PropertyReport:
         p, k_joint, lambda g, t: k_a.value((g[0], g[2]), t[:1]) * k_b.value((g[1], g[2]), t[1:])
     )
 
-    fam = named_marginals(p)
-    via_fiber = (
-        is_fiber_product(m, fam.p_a, fam.p_b, (YA, YB, LAM))
-        and is_fiber_product(fam.p_a, fam.q_a, fam.r, (YA, LAM))
-        and is_fiber_product(fam.p_b, fam.q_b, fam.r, (YB, LAM))
-    )
+    # locality is outcome independence and parameter independence together
+    via_fiber = _outcome_fiber(m) and _parameter_fibers(m)
     _assert_agreement(HVProperty.LOCALITY, equation=witness is None, fiber=via_fiber)
     return PropertyReport(HVProperty.LOCALITY, witness is None, witness)
 
@@ -124,11 +135,7 @@ def check_parameter_independence(p: HVModel) -> PropertyReport:
         p, k_a_both, lambda g, t: k_a_own.value((g[0], g[2]), t)
     ) or _kernel_violation(p, k_b_both, lambda g, t: k_b_own.value((g[1], g[2]), t))
 
-    fam = named_marginals(p)
-    via_fiber = is_fiber_product(fam.p_a, fam.q_a, fam.r, (YA, LAM)) and is_fiber_product(
-        fam.p_b, fam.q_b, fam.r, (YB, LAM)
-    )
-    _assert_agreement(HVProperty.PARAMETER_INDEPENDENCE, equation=witness is None, fiber=via_fiber)
+    _assert_agreement(HVProperty.PARAMETER_INDEPENDENCE, equation=witness is None, fiber=_parameter_fibers(m))
     return PropertyReport(HVProperty.PARAMETER_INDEPENDENCE, witness is None, witness)
 
 
@@ -140,9 +147,7 @@ def check_outcome_independence(p: HVModel) -> PropertyReport:
     k_b = conditional(m, (XB,), (YA, YB, LAM))
     witness = _kernel_violation(p, k_joint, lambda g, t: k_a.value(g, t[:1]) * k_b.value(g, t[1:]))
 
-    fam = named_marginals(p)
-    via_fiber = is_fiber_product(m, fam.p_a, fam.p_b, (YA, YB, LAM))
-    _assert_agreement(HVProperty.OUTCOME_INDEPENDENCE, equation=witness is None, fiber=via_fiber)
+    _assert_agreement(HVProperty.OUTCOME_INDEPENDENCE, equation=witness is None, fiber=_outcome_fiber(m))
     return PropertyReport(HVProperty.OUTCOME_INDEPENDENCE, witness is None, witness)
 
 

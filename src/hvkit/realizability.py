@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DomainError, InternalCheckError, ResourceLimitError
 from .measure import (
@@ -40,7 +40,8 @@ from .properties import (
 from .rationals import ONE, ZERO
 from .simplex import solve_feasibility
 
-DEFAULT_STRATEGY_CAP = 10**6
+# The most deterministic strategy pairs enumerate_strategies will list.
+STRATEGY_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -83,12 +84,11 @@ def enumerate_strategies(
     yb: FiniteSpace,
     xa: FiniteSpace,
     xb: FiniteSpace,
-    cap: int = DEFAULT_STRATEGY_CAP,
 ) -> list[DeterministicStrategy]:
     """All deterministic strategy pairs, in canonical order."""
     count = len(xa) ** len(ya) * len(xb) ** len(yb)
-    if count > cap:
-        raise ResourceLimitError(f"{count} strategies exceed the cap of {cap}")
+    if count > STRATEGY_CAP:
+        raise ResourceLimitError(f"{count} strategies exceed the cap of {STRATEGY_CAP}")
     return [
         DeterministicStrategy(fa, fb)
         for fa in cartesian(xa.atoms, repeat=len(ya))
@@ -101,10 +101,9 @@ def _sign(space: FiniteSpace, label: str) -> int:
     return 1 if space.index(label) == 0 else -1
 
 
-def _context_kernel(e: EmpiricalModel):
-    """The conditional behavior and its positive contexts, in canonical order."""
-    kernel = conditional(e.measure, (XA, XB), (YA, YB))
-    return kernel, list(kernel.given_atoms())
+def _behavior(e: EmpiricalModel):
+    """Outcome pairs given settings: one row per positive context, in canonical order."""
+    return conditional(e.measure, (XA, XB), (YA, YB))
 
 
 def _two_by_two(e: EmpiricalModel) -> bool:
@@ -128,12 +127,12 @@ def chsh_value(e: EmpiricalModel) -> Fraction:
     """
     if not _two_by_two(e):
         raise DomainError("requires exactly 2 settings and 2 outcomes per party")
-    kernel, contexts = _context_kernel(e)
+    kernel = _behavior(e)
     for context in cartesian(e.space(YA).atoms, e.space(YB).atoms):
         if not kernel.defined_at(context):
             raise DomainError(f"context {context!r} has zero probability")
     # the first sign variant is (+, +, +, -) over the contexts in canonical order
-    return _evaluate_functional(next(_correlator_variants(e, kernel, contexts)), kernel, contexts)
+    return _evaluate_functional(next(_correlator_variants(e, kernel)), kernel)
 
 
 def _strategy_outcome(strategy, ya, yb, context) -> tuple[str, str]:
@@ -141,10 +140,10 @@ def _strategy_outcome(strategy, ya, yb, context) -> tuple[str, str]:
     return strategy.outcomes_a[ya.index(context[0])], strategy.outcomes_b[yb.index(context[1])]
 
 
-def _evaluate_functional(functional, kernel, contexts) -> Fraction:
+def _evaluate_functional(functional, kernel) -> Fraction:
     total = ZERO
-    for context in contexts:
-        for outcome, value in kernel.row(context).items():
+    for context, row in kernel.table.items():
+        for outcome, value in row.items():
             coefficient = functional.get(outcome + context)
             if coefficient is not None:
                 total += coefficient * value
@@ -156,11 +155,11 @@ def _evaluate_functional_on_strategy(functional, strategy, ya, yb, contexts) -> 
     return sum((functional.get(atom, ZERO) for atom in atoms), ZERO)
 
 
-def _correlator_variants(e: EmpiricalModel, kernel, contexts):
+def _correlator_variants(e: EmpiricalModel, kernel):
     """Sign variants of the correlator functional, canonical order first."""
     xa, xb = e.space(XA), e.space(XB)
     ya, yb = e.space(YA), e.space(YB)
-    if not _two_by_two(e) or len(contexts) != 4:
+    if not _two_by_two(e) or len(kernel.table) != 4:
         return
     for signs in cartesian((1, -1), repeat=4):
         if signs[0] * signs[1] * signs[2] * signs[3] != -1:
@@ -181,45 +180,37 @@ def _primitive_integer_scaling(functional: dict) -> dict:
     denominators = [v.denominator for v in functional.values() if v != 0]
     if not denominators:
         return functional
-    lcm = 1
-    for d in denominators:
-        lcm = lcm * d // gcd(lcm, d)
-    scaled = {k: v * lcm for k, v in functional.items()}
-    common = 0
-    for v in scaled.values():
-        common = gcd(common, abs(v.numerator))
+    scale = lcm(*denominators)
+    scaled = {k: v * scale for k, v in functional.items()}
+    common = gcd(*(v.numerator for v in scaled.values()))
     if common > 1:
         scaled = {k: v / common for k, v in scaled.items()}
     return scaled
 
 
-def _infeasible_certificate(e, kernel, contexts, strategies, dual) -> LocalityCertificate:
+def _infeasible_certificate(e, strategies, dual) -> LocalityCertificate:
     ya, yb = e.space(YA), e.space(YB)
     xa, xb = e.space(XA), e.space(XB)
+    kernel = _behavior(e)
+    contexts = list(kernel.given_atoms())
 
     functional = None
-    for candidate in _correlator_variants(e, kernel, contexts):
-        value = _evaluate_functional(candidate, kernel, contexts)
+    for candidate in _correlator_variants(e, kernel):
+        value = _evaluate_functional(candidate, kernel)
         if value > 2:
             functional = candidate
             break
     if functional is None:
         # generic dual certificate from the LP, one coefficient per
         # behavior constraint row
-        functional = {}
-        index = 0
-        for context in contexts:
-            for oa in xa.atoms:
-                for ob in xb.atoms:
-                    functional[(oa, ob) + context] = dual[index]
-                    index += 1
-        functional = _primitive_integer_scaling(functional)
+        rows = [(oa, ob) + context for context in contexts for oa in xa.atoms for ob in xb.atoms]
+        functional = _primitive_integer_scaling(dict(zip(rows, dual)))
 
     bound = max(
         _evaluate_functional_on_strategy(functional, s, ya, yb, contexts)
         for s in strategies
     )
-    achieved = _evaluate_functional(functional, kernel, contexts)
+    achieved = _evaluate_functional(functional, kernel)
     if achieved <= bound:
         raise InternalCheckError("separating functional does not separate")
     return LocalityCertificate(
@@ -255,9 +246,7 @@ def strategy_hv_model(
     return HVModel(FiniteMeasure(layout, atom_weights))
 
 
-def local_hvm_exists(
-    e: EmpiricalModel, cap: int = DEFAULT_STRATEGY_CAP
-) -> tuple[bool, LocalityCertificate]:
+def local_hvm_exists(e: EmpiricalModel) -> tuple[bool, LocalityCertificate]:
     """Decide local realizability of e, with a verified exact certificate.
 
     Zero-probability contexts impose no constraints.  In the feasible
@@ -265,18 +254,14 @@ def local_hvm_exists(
     pass realization, locality, setting independence and strong
     determinism before the certificate is returned.
     """
-    strategies = enumerate_strategies(e.space(YA), e.space(YB), e.space(XA), e.space(XB), cap)
-    kernel, contexts = _context_kernel(e)
+    strategies = enumerate_strategies(e.space(YA), e.space(YB), e.space(XA), e.space(XB))
+    kernel = _behavior(e)
+    contexts = list(kernel.given_atoms())
     ya, yb = e.space(YA), e.space(YB)
     xa, xb = e.space(XA), e.space(XB)
 
-    rhs = []
-    row_keys = []
-    for context in contexts:
-        for oa in xa.atoms:
-            for ob in xb.atoms:
-                row_keys.append(((oa, ob), context))
-                rhs.append(kernel.value(context, (oa, ob)))
+    row_keys = [((oa, ob), context) for context in contexts for oa in xa.atoms for ob in xb.atoms]
+    rhs = [kernel.value(context, outcome) for outcome, context in row_keys]
     # one 0/1 column per strategy: a 1 in the row of the outcome pair it
     # produces at each context, whose rows form a block of |xa| * |xb|
     positions = [(ya.index(context[0]), yb.index(context[1])) for context in contexts]
@@ -317,5 +302,4 @@ def local_hvm_exists(
             raise InternalCheckError("reconstructed model is not strongly deterministic")
         return True, LocalityCertificate(feasible=True, weights=weights)
 
-    certificate = _infeasible_certificate(e, kernel, contexts, strategies, result.dual)
-    return False, certificate
+    return False, _infeasible_certificate(e, strategies, result.dual)

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from hvkit.cli import load_model_file, main, parse_model_text, serialize_model
-from hvkit.errors import ModelFormatError
+import hvkit.cli
+from hvkit.cli import load_model_file, main, parse_model_text, save_model_file, serialize_model
+from hvkit.errors import ModelFormatError, ResourceLimitError
 from hvkit.fixtures import FIXTURE_FILES
-from hvkit.models import EmpiricalModel, HVModel
+from hvkit.models import EmpiricalModel, HVModel, empirical_model, hv_model
 from hvkit.rationals import MAX_RATIONAL_DIGITS
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -166,9 +167,6 @@ class TestRealizabilityCommand:
         assert run_cli("realizability", str(FIXTURE_DIR / "singlet_chsh.json")) == 1
 
     def test_feasible_strategy_model(self, tmp_path, capsys):
-        from hvkit.cli import save_model_file
-        from hvkit.models import empirical_model
-
         weights = {("0", "1", ya, yb): Fraction(1, 4) for ya in "01" for yb in "01"}
         path = tmp_path / "strategy.json"
         save_model_file(empirical_model("01", "01", "01", "01", weights), str(path))
@@ -284,6 +282,86 @@ class TestInputBoundaries:
         err = self.check_exits_two(tmp_path, capsys, text)
         assert f"more than {MAX_RATIONAL_DIGITS} digits" in err
         assert "set_int_max_str_digits" not in err
+
+    def test_weight_sum_past_the_digit_cap_exits_two(self, tmp_path, capsys):
+        # each "p" is inside the cap, but their sum's denominator is not
+        document = single_atom_hv_document(p="1/" + "7" * MAX_RATIONAL_DIGITS)
+        document["spaces"]["lam"].append("l1")
+        atom = dict(document["weights"][0]["atom"], lam="l1")
+        document["weights"].append({"atom": atom, "p": "1/" + "3" * MAX_RATIONAL_DIGITS})
+        err = self.check_exits_two(tmp_path, capsys, json.dumps(document))
+        assert f"sum to exactly 1, got a rational over {MAX_RATIONAL_DIGITS} digits long" in err
+
+    def test_file_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert run_cli("check", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
+    def test_long_non_rational_weight_message_is_bounded(self, tmp_path, capsys):
+        text = json.dumps(single_atom_hv_document(p="x" * 1_000_000))
+        with pytest.raises(ModelFormatError) as caught:
+            parse_model_text(text)
+        message = str(caught.value)
+        assert "\n" not in message
+        assert len(message) < 200
+        assert message.startswith("weights[0]: not a rational: 'xxx")
+        err = self.check_exits_two(tmp_path, capsys, text)
+        assert len(err) < 200
+
+
+def distinct_denominator_chsh_document():
+    """A 2x2 model whose four contexts have distinct 2,001-digit denominators.
+
+    Every "p" is within the digit cap, but E(context) = 2/d - 1 at each
+    context, so the CHSH value's denominator is near 8,000 digits long.
+    """
+    weights = []
+    for k, (ya, yb) in zip((1, 3, 7, 9), [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]):
+        a = Fraction(1, 4 * (10**2000 + k))
+        for (xa, xb), w in ((("0", "0"), a), (("0", "1"), Fraction(1, 4) - a)):
+            atom = {"xa": xa, "xb": xb, "ya": ya, "yb": yb}
+            weights.append({"atom": atom, "p": f"{w.numerator}/{w.denominator}"})
+    return {"spaces": {c: ["0", "1"] for c in ("xa", "xb", "ya", "yb")}, "weights": weights}
+
+
+def past_the_digit_cap_model():
+    """An in-library model holding a weight with a 4,301-digit denominator."""
+    tiny = Fraction(1, 10**MAX_RATIONAL_DIGITS)
+    return hv_model("0", "01", "0", "0", ("l0",), {
+        ("0", "0", "0", "0", "l0"): tiny, ("0", "1", "0", "0", "l0"): 1 - tiny,
+    })
+
+
+class TestOutputDigitCap:
+    """A result past MAX_RATIONAL_DIGITS is refused with exit 2 and one line."""
+
+    def test_chsh_result_past_the_cap_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(distinct_denominator_chsh_document()))
+        assert run_cli("chsh", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "MAX_RATIONAL_DIGITS" in captured.err
+
+    def test_save_refuses_value_past_the_cap_and_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(ResourceLimitError, match="MAX_RATIONAL_DIGITS"):
+            save_model_file(past_the_digit_cap_model(), str(path))
+        assert not path.exists()
+
+    def test_determinize_out_past_the_cap_exits_two_and_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(hvkit.cli, "determinize_empirical", lambda e: past_the_digit_cap_model())
+        path = tmp_path / "out.json"
+        argv = ("determinize", str(FIXTURE_DIR / "pr_box.json"), "--method", "empirical", "--out", str(path))
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "MAX_RATIONAL_DIGITS" in err
+        assert not path.exists()
 
 
 class TestVerifyCommand:

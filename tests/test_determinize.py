@@ -14,7 +14,8 @@ from hvkit.determinize import (
 )
 from hvkit.errors import PreconditionError
 from hvkit.fixtures import fair_coin_product_model, pr_box, pr_box_hv
-from hvkit.models import empirical_model, equivalent, hv_model, named_marginals, realizes
+from hvkit.measure import marginal
+from hvkit.models import empirical_model, equivalent, hv_model, realizes
 from hvkit.properties import (
     HVProperty,
     check_lambda_independence,
@@ -208,7 +209,6 @@ class TestDeterminizeLocal:
         for _ in range(15):
             p = rand_local_lambda_indep(rng)
             out = determinize_local(p)
-            fam_in = named_marginals(p)
 
             collapsed = {}
             for atom, w in out.measure.weights.items():
@@ -216,4 +216,4 @@ class TestDeterminizeLocal:
                 lam = atom[4].split("|", 1)[0]
                 key = (xa, ya, lam)
                 collapsed[key] = collapsed.get(key, Fraction(0)) + w
-            assert collapsed == dict(fam_in.q_a.weights)
+            assert collapsed == dict(marginal(p.measure, ("xa", "ya", "lam")).weights)

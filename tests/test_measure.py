@@ -1,6 +1,9 @@
 """Measures, marginals, conditionals, products, and their exact identities."""
 
 import random
+import sys
+import threading
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -130,6 +133,97 @@ class TestConditional:
         p = two_coord({("0", "0"): Fraction(1)})
         with pytest.raises(LayoutError):
             conditional(p, ("x",), ("x",))
+
+
+class TestMemo:
+    """marginal and conditional are memoized on the measure they are taken on."""
+
+    def test_repeated_call_returns_the_first_result(self):
+        rng = random.Random(20)
+        for _ in range(10):
+            p = rand_measure(rng, (2, 3, 2))
+            fresh = FiniteMeasure(p.layout, dict(p.weights))
+            m = marginal(p, ("c0", "c2"))
+            assert marginal(p, ("c0", "c2")) is m
+            assert marginal(p, iter(("c0", "c2"))) is m
+            assert marginal(fresh, ("c0", "c2")) is not m
+            assert marginal(fresh, ("c0", "c2")) == m
+            k = conditional(p, ("c1",), ("c0", "c2"))
+            assert conditional(p, ("c1",), ("c0", "c2")) is k
+            assert conditional(fresh, ("c1",), ("c0", "c2")) is not k
+            assert conditional(fresh, ("c1",), ("c0", "c2")) == k
+
+    def test_measures_on_one_layout_never_share_an_entry(self):
+        p = two_coord({("0", "0"): HALF, ("1", "1"): HALF})
+        q = two_coord({("0", "1"): QUARTER, ("1", "1"): 1 - QUARTER})
+        assert marginal(p, ("x",)).weights == {("0",): HALF, ("1",): HALF}
+        assert marginal(q, ("x",)).weights == {("0",): QUARTER, ("1",): 1 - QUARTER}
+        assert conditional(p, ("z",), ("x",)).value(("0",), ("0",)) == 1
+        assert conditional(q, ("z",), ("x",)).value(("0",), ("0",)) == 0
+
+    def test_a_call_that_raises_caches_nothing(self):
+        p = two_coord({("0", "0"): HALF, ("1", "1"): HALF})
+        for _ in range(2):
+            with pytest.raises(LayoutError):
+                marginal(p, ("x", "nope"))
+            with pytest.raises(LayoutError):
+                conditional(p, ("x",), ("x", "z"))
+            with pytest.raises(LayoutError):
+                conditional(p, ("nope",), ("z",))
+            assert p._memo == {}
+
+    def test_equality_and_repr_ignore_a_filled_memo(self):
+        p = two_coord({("0", "0"): HALF, ("1", "1"): HALF})
+        q = two_coord({("0", "0"): HALF, ("1", "1"): HALF})
+        before = repr(p)
+        marginal(p, ("z",))
+        conditional(p, ("x",), ("z",))
+        assert p._memo
+        assert p == q
+        assert repr(p) == before == repr(q)
+
+    def test_entries_are_freed_with_their_measure(self):
+        p = rand_measure(random.Random(21), (2, 2, 2))
+        names = p.layout.names
+        for name in names:
+            rest = tuple(n for n in names if n != name)
+            marginal(marginal(p, rest), (rest[0],))
+            conditional(p, (name,), rest)
+        assert reorder(p, names) is p
+        assert all(entry is not p for entry in p._memo.values())
+        ref = weakref.ref(p)
+        del p
+        assert ref() is None
+
+
+    def test_threads_sharing_measures_get_correct_results(self):
+        rng = random.Random(22)
+        shared = [rand_measure(rng, (2, 2, 3)) for _ in range(12)]
+        fresh = [FiniteMeasure(p.layout, dict(p.weights)) for p in shared]
+        calls = [("marginal", (("c0", "c2"),)), ("marginal", (("c1",),)), ("conditional", (("c2",), ("c0", "c1")))]
+        functions = {"marginal": marginal, "conditional": conditional}
+        expected = [[functions[f](p, *args) for f, args in calls] for p in fresh]
+        mismatches = []
+
+        def worker():
+            for _ in range(5):
+                for p, wanted in zip(shared, expected):
+                    got = [functions[f](p, *args) for f, args in calls]
+                    if got != wanted:
+                        mismatches.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
 
 
 class TestProduct:

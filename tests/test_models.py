@@ -1,4 +1,4 @@
-"""Model wrappers, realization, equivalence, and the marginal family."""
+"""Model wrappers, realization, equivalence, and the named marginals."""
 
 import random
 from fractions import Fraction
@@ -14,22 +14,34 @@ from hvkit.models import (
     empirical_model,
     equivalent,
     hv_model,
-    named_marginals,
     realizes,
 )
 from randmodels import rand_empirical, rand_fully_random, rand_product_model
 
 HALF = Fraction(1, 2)
 
-NAMED_COORDS = {
-    "p_a": ("xa", "ya", "yb", "lam"),
-    "p_b": ("xb", "ya", "yb", "lam"),
-    "q_a": ("xa", "ya", "lam"),
-    "q_b": ("xb", "yb", "lam"),
-    "r": ("ya", "yb", "lam"),
-    "p_y": ("ya", "yb"),
-    "p_lam": ("lam",),
+# The seven named marginals of a hidden-variable model, each as
+# (the named marginal it is taken from, or None for the model, coordinates):
+# p_a / p_b drop the other party's outcome, q_a / q_b keep a party's own
+# outcome and setting with lam, r is settings plus lam, p_y and p_lam
+# are the settings and lam alone.
+NAMED_MARGINALS = {
+    "p_a": (None, ("xa", "ya", "yb", "lam")),
+    "p_b": (None, ("xb", "ya", "yb", "lam")),
+    "q_a": ("p_a", ("xa", "ya", "lam")),
+    "q_b": ("p_b", ("xb", "yb", "lam")),
+    "r": ("p_a", ("ya", "yb", "lam")),
+    "p_y": ("r", ("ya", "yb")),
+    "p_lam": ("r", ("lam",)),
 }
+
+
+def named_marginals(p: HVModel) -> dict:
+    """The seven named marginals, each taken from the one NAMED_MARGINALS nests it in."""
+    family = {}
+    for name, (parent, coords) in NAMED_MARGINALS.items():
+        family[name] = marginal(family[parent] if parent else p.measure, coords)
+    return family
 
 
 class TestConstruction:
@@ -126,12 +138,13 @@ class TestNamedMarginals:
         rng = random.Random(9)
         p = rand_product_model(rng)
         family = named_marginals(p)
-        assert measures_equal(family.r, product(family.p_y, family.p_lam))
+        assert measures_equal(family["r"], product(family["p_y"], family["p_lam"]))
 
     def test_point_mass_model(self):
         p = hv_model("01", "01", "01", "01", ("l0",), {("0", "1", "1", "0", "l0"): Fraction(1)})
         family = named_marginals(p)
-        for m in (family.p_a, family.p_b, family.q_a, family.q_b, family.r, family.p_y, family.p_lam):
+        assert len(family) == 7
+        for m in family.values():
             assert len(m.weights) == 1
 
     def test_nested_marginal_consistency(self):
@@ -139,8 +152,11 @@ class TestNamedMarginals:
         for _ in range(20):
             p = rand_fully_random(rng)
             family = named_marginals(p)
-            for name, coords in NAMED_COORDS.items():
-                assert measures_equal(getattr(family, name), marginal(p.measure, coords))
+            # the direct marginals come from an equal measure built anew, so
+            # no memoized result of the nested chain can be handed back
+            fresh = FiniteMeasure(p.measure.layout, dict(p.measure.weights))
+            for name, (_, coords) in NAMED_MARGINALS.items():
+                assert measures_equal(family[name], marginal(fresh, coords))
 
     def test_realizes_own_empirical(self):
         rng = random.Random(11)

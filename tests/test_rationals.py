@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hvkit.errors import DomainError
+from hvkit.errors import DomainError, ResourceLimitError
 from hvkit.rationals import (
     MAX_RATIONAL_DIGITS,
     approximate_from_float,
@@ -79,6 +79,21 @@ class TestSerialization:
         for text in (f"{n}9", f"-{n}9", f"1/{n}9"):
             with pytest.raises(ValueError, match=f"more than {MAX_RATIONAL_DIGITS} digits"):
                 rational_from_string(text)
+
+    def test_output_digit_cap(self):
+        widest = 10**MAX_RATIONAL_DIGITS - 1
+        assert rational_to_string(Fraction(-widest, widest - 1)) == f"-{widest}/{widest - 1}"
+        for value in (Fraction(widest + 1), Fraction(-widest - 1), Fraction(1, widest + 1)):
+            with pytest.raises(ResourceLimitError, match="MAX_RATIONAL_DIGITS"):
+                rational_to_string(value)
+
+    def test_rejected_text_is_quoted_with_a_bounded_prefix(self):
+        for text in ("y" * 10_000, "1/" + "0" * 4000):
+            with pytest.raises(ValueError) as caught:
+                rational_from_string(text)
+            message = str(caught.value)
+            assert len(message) < 120
+            assert f"({len(text)} characters)" in message
 
 
 def best_approximation_brute_force(x: Fraction, max_denominator: int) -> Fraction:

@@ -67,7 +67,7 @@ class TestEnumerateStrategies:
         big = FiniteSpace("ya", tuple(str(i) for i in range(21)))
         two = bit_space
         with pytest.raises(ResourceLimitError):
-            enumerate_strategies(big, two("yb"), two("xa"), two("xb"), cap=10**6)
+            enumerate_strategies(big, two("yb"), two("xa"), two("xb"))
 
 
 class TestChshValue:
