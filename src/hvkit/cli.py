@@ -11,9 +11,19 @@ bad input, and a result past that cap is refused with exit 2 rather than
 printed or written.  Serialization is deterministic (canonical atom
 order), so parse/serialize round-trips are bit-exact.
 
+Each command returns (exit code, JSON payload, text lines), and ``main``
+alone writes them: the payload under ``--json``, otherwise the lines.
+
 Exit codes: 0 success / all selected properties hold / feasible;
 1 a property fails, a precondition fails, or the model is infeasible;
-2 bad input (parse error, domain error, resource cap).
+2 bad input (usage error, parse error, domain error, resource cap), always
+as one "error: ..." line on stderr; ``-h`` still prints help and exits 0.
+Under ``--json`` a failed ``determinize --method local`` precondition is
+{"command": "determinize", "precondition_failed": message, "report":
+the failing property's report as ``check`` gives it, or null}.
+``generate`` refuses a non-finite angle, and more than
+``hvkit.quantumgen.MAX_SINGLET_ATOMS`` = 40,000 atoms (|angles_a| x
+|angles_b| x 4), before it writes ``--out``.
 """
 
 from __future__ import annotations
@@ -142,34 +152,34 @@ def save_model_file(model: Model, path: str) -> None:
 # report rendering
 
 
-def _witness_json(report: PropertyReport):
-    if report.witness is None:
-        return None
-    return {
-        "atom": report.witness.as_dict(),
-        "lhs": rational_to_string(report.witness.lhs),
-        "rhs": rational_to_string(report.witness.rhs),
+def _assignment(pairs) -> str:
+    return ", ".join(f"{k}={v}" for k, v in pairs)
+
+
+def _report_json(report: PropertyReport) -> dict:
+    w = report.witness
+    witness = None if w is None else {
+        "atom": w.as_dict(),
+        "lhs": rational_to_string(w.lhs),
+        "rhs": rational_to_string(w.rhs),
     }
+    return {"property": report.property.value, "holds": report.holds, "witness": witness}
 
 
-def _print_report(report: PropertyReport) -> None:
+def _report_line(report: PropertyReport) -> str:
     if report.holds:
-        print(f"{report.property.value}: HOLDS")
-    else:
-        w = report.witness
-        atom = ", ".join(f"{k}={v}" for k, v in w.assignment)
-        print(
-            f"{report.property.value}: FAILS at ({atom}): "
-            f"lhs={rational_to_string(w.lhs)} rhs={rational_to_string(w.rhs)}"
-        )
-
-
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+        return f"{report.property.value}: HOLDS"
+    w = report.witness
+    return (
+        f"{report.property.value}: FAILS at ({_assignment(w.assignment)}): "
+        f"lhs={rational_to_string(w.lhs)} rhs={rational_to_string(w.rhs)}"
+    )
 
 
 # ---------------------------------------------------------------------------
 # commands
+
+Result = tuple[int, dict, list[str]]  # exit code, JSON payload, text lines
 
 
 def _require_hv(model: Model) -> HVModel:
@@ -184,29 +194,17 @@ def _require_empirical(model: Model) -> EmpiricalModel:
     return model
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> Result:
     model = _require_hv(load_model_file(args.file))
     if args.property == "all":
         reports = check_all(model)
     else:
         reports = (check_property(model, HVProperty(args.property)),)
-    if args.json:
-        _emit_json(
-            {
-                "command": "check",
-                "reports": [
-                    {"property": r.property.value, "holds": r.holds, "witness": _witness_json(r)}
-                    for r in reports
-                ],
-            }
-        )
-    else:
-        for report in reports:
-            _print_report(report)
-    return 0 if all(r.holds for r in reports) else 1
+    payload = {"command": "check", "reports": [_report_json(r) for r in reports]}
+    return (0 if all(r.holds for r in reports) else 1), payload, [_report_line(r) for r in reports]
 
 
-def cmd_determinize(args) -> int:
+def cmd_determinize(args) -> Result:
     model = load_model_file(args.file)
     if args.method == "empirical":
         result = determinize_empirical(_require_empirical(model))
@@ -214,81 +212,65 @@ def cmd_determinize(args) -> int:
         try:
             result = determinize_local(_require_hv(model))
         except PreconditionError as exc:
-            print(f"precondition failed: {exc}")
-            if exc.report is not None:
-                _print_report(exc.report)
-            return 1
+            report = exc.report
+            payload = {
+                "command": "determinize",
+                "precondition_failed": str(exc),
+                "report": None if report is None else _report_json(report),
+            }
+            lines = [f"precondition failed: {exc}"]
+            if report is not None:
+                lines.append(_report_line(report))
+            return 1, payload, lines
     save_model_file(result, args.out)
 
-    checks = check_all(result)
-    summary = {r.property.value: r.holds for r in checks}
-    if args.json:
-        _emit_json({"command": "determinize", "out": args.out, "verification": summary})
-    else:
-        print(f"wrote {args.out}")
-        print("verification: " + ", ".join(f"{k}={'ok' if v else 'no'}" for k, v in summary.items()))
-    return 0
+    summary = {r.property.value: r.holds for r in check_all(result)}
+    lines = [
+        f"wrote {args.out}",
+        "verification: " + ", ".join(f"{k}={'ok' if v else 'no'}" for k, v in summary.items()),
+    ]
+    return 0, {"command": "determinize", "out": args.out, "verification": summary}, lines
 
 
-def cmd_realizability(args) -> int:
+def cmd_realizability(args) -> Result:
     model = _require_empirical(load_model_file(args.file))
     feasible, certificate = local_hvm_exists(model)
-    if args.json:
-        if feasible:
-            payload = {
-                "command": "realizability",
-                "feasible": True,
-                "weights": [
-                    {
-                        "strategy": {"a": list(s.outcomes_a), "b": list(s.outcomes_b)},
-                        "w": rational_to_string(w),
-                    }
-                    for s, w in certificate.weights.items()
-                ],
-            }
-        else:
-            payload = {
-                "command": "realizability",
-                "feasible": False,
-                "bell_functional": [
-                    {"atom": dict(zip(PSI_COORDS, atom)), "coefficient": rational_to_string(c)}
-                    for atom, c in certificate.bell_functional.items()
-                ],
-                "classical_bound": rational_to_string(certificate.classical_bound),
-                "achieved_value": rational_to_string(certificate.achieved_value),
-            }
-        _emit_json(payload)
-    else:
-        settings_a = model.space("ya").atoms
-        settings_b = model.space("yb").atoms
-        if feasible:
-            print("FEASIBLE")
-            for strategy, w in certificate.weights.items():
-                print(f"  {rational_to_string(w)}  {strategy.describe(settings_a, settings_b)}")
-        else:
-            print("INFEASIBLE")
-            print(f"  classical bound: {rational_to_string(certificate.classical_bound)}")
-            print(f"  achieved value:  {rational_to_string(certificate.achieved_value)}")
-            for atom, coefficient in certificate.bell_functional.items():
-                if coefficient != 0:
-                    assignment = ", ".join(f"{k}={v}" for k, v in zip(PSI_COORDS, atom))
-                    print(f"  coefficient ({assignment}): {rational_to_string(coefficient)}")
-    return 0 if feasible else 1
+    if feasible:
+        weights = [(s, rational_to_string(w)) for s, w in certificate.weights.items()]
+        payload = {
+            "command": "realizability",
+            "feasible": True,
+            "weights": [
+                {"strategy": {"a": list(s.outcomes_a), "b": list(s.outcomes_b)}, "w": w}
+                for s, w in weights
+            ],
+        }
+        settings = (model.space("ya").atoms, model.space("yb").atoms)
+        return 0, payload, ["FEASIBLE"] + [f"  {w}  {s.describe(*settings)}" for s, w in weights]
+    functional = [(tuple(zip(PSI_COORDS, atom)), c) for atom, c in certificate.bell_functional.items()]
+    bound = rational_to_string(certificate.classical_bound)
+    achieved = rational_to_string(certificate.achieved_value)
+    payload = {
+        "command": "realizability",
+        "feasible": False,
+        "bell_functional": [
+            {"atom": dict(atom), "coefficient": rational_to_string(c)} for atom, c in functional
+        ],
+        "classical_bound": bound,
+        "achieved_value": achieved,
+    }
+    lines = ["INFEASIBLE", f"  classical bound: {bound}", f"  achieved value:  {achieved}"]
+    lines += [f"  coefficient ({_assignment(atom)}): {rational_to_string(c)}" for atom, c in functional if c != 0]
+    return 1, payload, lines
 
 
-def cmd_chsh(args) -> int:
-    model = _require_empirical(load_model_file(args.file))
-    value = chsh_value(model)
-    if args.json:
-        _emit_json({"command": "chsh", "value": rational_to_string(value), "float": float(value)})
-    else:
-        print(f"chsh = {rational_to_string(value)} ({float(value):+.9f})")
-    return 0
+def cmd_chsh(args) -> Result:
+    value = chsh_value(_require_empirical(load_model_file(args.file)))
+    text = rational_to_string(value)
+    return 0, {"command": "chsh", "value": text, "float": float(value)}, [f"chsh = {text} ({float(value):+.9f})"]
 
 
-def cmd_generate(args) -> int:
-    if args.kind != "singlet":
-        raise ModelFormatError(f"unknown generator {args.kind!r}")
+def cmd_generate(args) -> Result:
     try:
         angles_a = [float(x) for x in args.angles_a.split(",") if x.strip()]
         angles_b = [float(x) for x in args.angles_b.split(",") if x.strip()]
@@ -300,15 +282,10 @@ def cmd_generate(args) -> int:
     if len(angles_a) == 2 and len(angles_b) == 2:
         value = chsh_value(model)
         lines.append(f"chsh = {rational_to_string(value)} ({float(value):+.9f})")
-    if args.json:
-        _emit_json({"command": "generate", "out": args.out, "log": lines})
-    else:
-        for line in lines:
-            print(line)
-    return 0
+    return 0, {"command": "generate", "out": args.out, "log": lines}, lines
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Result:
     """Run every internal cross-check the model supports and report."""
     model = load_model_file(args.file)
     lines = []
@@ -334,20 +311,26 @@ def cmd_verify(args) -> int:
         good = realized and determined
         lines.append(f"cross-check deterministic realization: {'consistent' if good else 'INCONSISTENT'}")
         ok = ok and good
-    if args.json:
-        _emit_json({"command": "verify", "ok": ok, "log": lines})
-    else:
-        for line in lines:
-            print(line)
-    return 0 if ok else 1
+    return (0 if ok else 1), {"command": "verify", "ok": ok, "log": lines}, lines
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
+class UsageError(HVKitError):
+    """The command line does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises UsageError where argparse would print usage and exit."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hvkit",
         description="Exact analysis of hidden-variable models on finite spaces.",
     )
@@ -396,13 +379,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the only place that writes to stdout or stderr."""
     try:
-        return args.handler(args)
+        args = build_parser().parse_args(argv)
+        code, payload, lines = args.handler(args)
     except HVKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line, even when the message quotes an argument holding a newline
+        message = str(exc).replace("\n", "\\n")
+        print(f"error: {message}", file=sys.stderr)
         return 2
+    if args.json:
+        print(json.dumps(payload, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 def entry() -> None:

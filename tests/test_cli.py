@@ -143,6 +143,19 @@ class TestDeterminizeCommand:
         assert code == 1
         assert "locality" in out
 
+    def test_local_method_precondition_failure_as_json(self, tmp_path, capsys):
+        out_file = tmp_path / "out.json"
+        code = run_cli(
+            "--json", "determinize", str(FIXTURE_DIR / "pr_box_singleton_hv.json"),
+            "--method", "local", "--out", str(out_file),
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert payload["precondition_failed"] == "input does not satisfy locality"
+        assert payload["report"]["property"] == "locality"
+        assert payload["report"]["witness"]["lhs"] == "1/2"
+        assert not out_file.exists()
+
     def test_local_method_on_product_model(self, tmp_path, capsys):
         out_file = tmp_path / "cells.json"
         code = run_cli(
@@ -218,6 +231,58 @@ class TestGenerateAndChsh:
             "generate", "singlet", "--angles-a", "abc", "--angles-b", "0",
             "--out", str(tmp_path / "x.json"),
         ) == 2
+
+
+class TestGenerateRefusals:
+    """Refused angle lists exit 2 with one line and leave --out unwritten."""
+
+    @pytest.mark.parametrize(
+        "angles_a, angles_b",
+        [
+            ("inf,0", "0,1"),
+            ("0", "-inf"),
+            ("1e400", "0"),
+            ("nan", "0"),
+            (",".join(map(str, range(101))), ",".join(map(str, range(100)))),
+        ],
+        ids=["inf", "-inf", "1e400", "nan", "over-cap"],
+    )
+    def test_exits_two(self, angles_a, angles_b, tmp_path, capsys):
+        out_file = tmp_path / "x.json"
+        argv = ("generate", "singlet", "--angles-a", angles_a, "--angles-b", angles_b)
+        assert run_cli(*argv, "--out", str(out_file)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out_file.exists()
+
+
+class TestUsageErrors:
+    """A command line argparse rejects exits 2 with one "error: " line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check",),
+            (),
+            ("chsh", str(FIXTURE_DIR / "pr_box.json"), "--bogus"),
+            ("generate", "singlet", "--angles-a", "0", "--angles-b", "0", "--max-denominator", "x"),
+            ("check", "x.json", "--a\nb"),
+        ],
+        ids=["missing-file", "empty", "unknown-flag", "bad-int", "newline-flag"],
+    )
+    def test_one_line_exit_two(self, argv, capsys):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: hvkit")
+        assert captured.err.count("\n") == 1
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("check", "-h")
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hvkit check")
 
 
 class TestUnwritableOutput:

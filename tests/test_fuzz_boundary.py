@@ -1,4 +1,4 @@
-"""Fuzzing the file boundary: every input ends in exit 0, 1 or 2, never a traceback.
+"""Fuzzing the file and argv boundaries: every input ends in exit 0, 1 or 2, never a traceback.
 
 Runs are derandomized, so the examples are the same on every run.
 """
@@ -8,6 +8,7 @@ import io
 import json
 from fractions import Fraction
 from itertools import product as cartesian
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 from hvkit.cli import main, parse_model_text
 from hvkit.errors import ModelFormatError
+from hvkit.fixtures import FIXTURE_FILES
 from hvkit.models import EmpiricalModel, HVModel
+from hvkit.properties import HVProperty
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=150, database=None)
 FILE_FUZZ = settings(FUZZ, max_examples=80)
@@ -77,6 +80,17 @@ def run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_main_checked(argv):
+    """run_main, asserting exit 0, 1 or 2 and exactly one "error: " line on stderr iff exit 2."""
+    code, out, err = run_main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    else:
+        assert err == "", (argv, err)
+    return code, out
+
+
 @FUZZ
 @given(
     st.one_of(
@@ -110,12 +124,74 @@ def test_commands_on_fuzzed_files_exit_zero_one_or_two(model_path, drawn):
     content, valid = drawn
     model_path.write_bytes(content)
     for command in COMMANDS:
-        code, out, err = run_main([command, str(model_path)])
-        assert code in (0, 1, 2), (command, code)
-        if code == 2:
-            assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
-        else:
-            assert err == "", (command, err)
+        run_main_checked([command, str(model_path)])
     if valid:
         # a well-formed model passes every internal cross-check
         assert run_main(["verify", str(model_path)])[0] == 0
+
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+SUBCOMMANDS = ("check", "determinize", "realizability", "chsh", "generate", "verify")
+TMP = "{tmp}"  # replaced by a per-module temporary directory
+
+file_args = st.one_of(
+    st.sampled_from([str(FIXTURE_DIR / name) for name in sorted(FIXTURE_FILES)]),
+    st.sampled_from([f"{TMP}/missing.json", TMP, ""]),
+).map(lambda path: (path,))
+angles = ["0", "45", "90", "-30.5", "1e-3"]
+angle_lists = st.one_of(
+    st.lists(st.sampled_from(angles), min_size=1, max_size=3, unique=True),
+    st.lists(st.sampled_from(angles + ["nan", "inf", "-inf", "1e400", "abc", "0x1", " ", "1..2"]), max_size=3),
+).map(",".join)
+PROPERTIES = ("all", *(p.value for p in HVProperty))
+OUT = f"{TMP}/out.json"
+
+
+def flag(name, *values):
+    return st.tuples(st.just(name), st.sampled_from(values))
+
+
+# what each subcommand needs, mostly well formed
+NEEDS = {
+    "check": (file_args, flag("--property", *PROPERTIES)),
+    "determinize": (file_args, flag("--method", "empirical", "local"), flag("--out", OUT)),
+    "generate": (
+        st.just(("singlet",)),
+        st.tuples(st.just("--angles-a"), angle_lists),
+        st.tuples(st.just("--angles-b"), angle_lists),
+        flag("--out", OUT),
+    ),
+}
+options = st.one_of(
+    flag("--property", *PROPERTIES, "nope"),
+    flag("--method", "empirical", "local", "nope"),
+    flag("--out", OUT, f"{TMP}/no/such/dir/out.json", TMP),
+    st.tuples(st.sampled_from(["--angles-a", "--angles-b"]), angle_lists),
+    flag("--max-denominator", "0", "-5", str(10**30), "1000", "x"),
+    # junk: unknown, ambiguous, misplaced and multi-line flags, a stray positional
+    st.tuples(st.sampled_from(["--bogus", "-x", "--angles", "--json", "--", "--a\nb", "singlet", "triplet"])),
+)
+
+
+@st.composite
+def argvs(draw):
+    """An hvkit command line: a subcommand with what it needs, half the time altered."""
+    command = draw(st.sampled_from(SUBCOMMANDS))
+    parts = [draw(part) for part in NEEDS.get(command, (file_args,))]
+    if draw(st.booleans()):  # drop some of what it needs, add other flags
+        parts = [part for part in parts if draw(st.booleans())] + draw(st.lists(options, max_size=3))
+    return (["--json"] if draw(st.booleans()) else []) + [command] + [arg for part in parts for arg in part]
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+@FUZZ
+@given(argvs())
+def test_fuzzed_command_lines_exit_zero_one_or_two(argv_dir, argv):
+    argv = [arg.replace(TMP, str(argv_dir)) for arg in argv]
+    code, out = run_main_checked(argv)
+    if argv[0] == "--json" and code in (0, 1):
+        json.loads(out)

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from hvkit.errors import DomainError
+import hvkit.quantumgen
+from hvkit.errors import DomainError, ResourceLimitError
 from hvkit.measure import conditional, marginal
-from hvkit.quantumgen import singlet_joint_probabilities, singlet_model
+from hvkit.quantumgen import MAX_SINGLET_ATOMS, singlet_joint_probabilities, singlet_model
 from hvkit.realizability import chsh_value, local_hvm_exists
 
 HALF = Fraction(1, 2)
@@ -114,6 +115,35 @@ class TestSingletModel:
             singlet_model((0.0, 0.0), (0.0,))
         with pytest.raises(DomainError):
             singlet_model((0.0,), (0.0,), setting_dist={("0", "0"): HALF})
+
+
+class Unreached(Exception):
+    pass
+
+
+def unreached(*args):
+    raise Unreached
+
+
+class TestInputLimits:
+    """Non-finite angles and over-cap angle counts are refused before any amplitude."""
+
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf, float("1e400"), math.nan])
+    def test_non_finite_angle(self, angle, monkeypatch):
+        monkeypatch.setattr(hvkit.quantumgen, "_spin_eigenvectors", unreached)
+        with pytest.raises(DomainError, match="must be finite"):
+            singlet_model((0.0, angle), (0.0,))
+        with pytest.raises(DomainError, match="must be finite"):
+            singlet_model((0.0,), (angle, 0.0))
+
+    def test_atom_cap(self, monkeypatch):
+        monkeypatch.setattr(hvkit.quantumgen, "singlet_joint_probabilities", unreached)
+        angles_b = [float(i) for i in range(100)]
+        angles_a = angles_b[: MAX_SINGLET_ATOMS // 4 // len(angles_b)]  # exactly at the cap
+        with pytest.raises(Unreached):
+            singlet_model(angles_a, angles_b)
+        with pytest.raises(ResourceLimitError, match="MAX_SINGLET_ATOMS"):
+            singlet_model(angles_a + [-1.0], angles_b)
 
 
 class TestCorrelatorValues:
