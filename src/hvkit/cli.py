@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -323,7 +324,16 @@ class UsageError(HVKitError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that raises UsageError where argparse would print usage and exit."""
+    """An argument parser that raises UsageError where argparse would print usage and exit.
+
+    An argument that starts with "-" and then a digit or a point is a
+    value, never an option, so ``--angles-a -30,45`` reads the angle list
+    as ``--angles-a=-30,45`` does.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")

@@ -9,12 +9,14 @@ shared marginal.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product as cartesian
 
 from .errors import InternalCheckError, LayoutError, PreconditionError
 from .measure import (
     FiniteMeasure,
     ProductLayout,
+    _derived,
     conditional,
     marginal,
     measures_equal,
@@ -80,10 +82,13 @@ def fiber_product(q: FiniteMeasure, r: FiniteMeasure, over) -> FiniteMeasure:
     )
     weights = {}
     for z, mass in s.weights.items():
+        # q(x, z) r(y, z) / s(z) = kq(x | z) kr(y | z) s(z), normalized once
+        y_row = [(y, rv.numerator, rv.denominator) for y, rv in kr.row(z).items()]
         for x, qv in kq.row(z).items():
-            for y, rv in kr.row(z).items():
-                weights[x + y + z] = qv * rv * mass
-    return FiniteMeasure(layout, weights)
+            n, d = qv.numerator * mass.numerator, qv.denominator * mass.denominator
+            for y, rn, rd in y_row:
+                weights[x + y + z] = Fraction(n * rn, d * rd)
+    return _derived(layout, weights)
 
 
 def is_fiber_product(p: FiniteMeasure, q: FiniteMeasure, r: FiniteMeasure, over) -> bool:

@@ -10,21 +10,44 @@ positive probability; zero-probability atoms are absent from the table
 rather than filled in, and "almost surely" throughout the package means
 "at every atom of strictly positive weight".
 
+Measures come from two constructors.  ``FiniteMeasure(layout, weights)``
+is the validated boundary: the parser and the builders go through it,
+and it checks every label, type, sign and duplicate before the sum.
+:func:`marginal`, :func:`reorder`, :func:`product`, :func:`fuse_factors`
+and the fiber product build their results through the derived
+constructor :func:`_derived`, which checks only that the weights sum to
+exactly one.  It cannot admit a bad label: every atom it receives is
+put together from the labels of atoms that an already validated measure
+holds, each kept under the very coordinate that validated it (a fused
+coordinate lists every joined combination of the labels it merges), and
+every weight is a sum, product or quotient of positive exact weights.
+
+Sums of weights are taken in integers (:func:`_exact_sum`), one sum per
+marginal bin, per conditional cell and row, and per sum check, and each
+output ``Fraction`` is built once.  No denominator common to a whole
+measure is formed, so each sum's denominator stays as small as the
+``Fraction`` sum of the same weights would make it.
+
+Each measure memoizes the results of :func:`marginal` and
+:func:`conditional` taken on it, keyed by the function and its
+coordinate arguments as given, so a repeated call returns the first
+result.
+
 All types are immutable after construction and all operations are pure,
-so values can be shared freely between threads.  Each measure memoizes
-the results of :func:`marginal` and :func:`conditional` taken on it,
-keyed by the function and its coordinate arguments as given, so a
-repeated call returns the first result.  That is safe under threads:
-an entry is only ever set to a value equal to a fresh computation.
+so values can be shared freely between threads.  The memo is safe under
+threads too: an entry is only ever set to a value equal to a fresh
+computation, and a call that raises sets none.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian
-from typing import Iterable, Iterator, Mapping
+from operator import contains, getitem, itemgetter
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import DomainError, LayoutError
 from .rationals import ONE, ZERO, _shown
@@ -88,6 +111,7 @@ class ProductLayout:
                 raise LayoutError(f"duplicate coordinate name {factor.name!r}")
             positions[factor.name] = i
         object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_indexes", tuple(f._index for f in self.factors))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -122,10 +146,9 @@ class ProductLayout:
         """All atoms of the full product, in canonical order."""
         return cartesian(*(f.atoms for f in self.factors))
 
-    def sort_key(self, atom: Atom) -> tuple[int, ...]:
-        return tuple(f.index(label) for f, label in zip(self.factors, atom))
-
     def validate_atom(self, atom: Atom) -> None:
+        if len(atom) == len(self._indexes) and all(map(contains, self._indexes, atom)):
+            return
         if len(atom) != len(self.factors):
             raise LayoutError(f"atom {atom!r} has {len(atom)} labels, layout needs {len(self.factors)}")
         for factor, label in zip(self.factors, atom):
@@ -147,7 +170,6 @@ class FiniteMeasure:
 
     def __post_init__(self):
         cleaned: dict[Atom, Fraction] = {}
-        total = ZERO
         for atom, raw in self.weights.items():
             atom = tuple(atom)
             self.layout.validate_atom(atom)
@@ -159,13 +181,10 @@ class FiniteMeasure:
                 raise DomainError(f"negative weight {_shown(raw)} at atom {atom!r}")
             if atom in cleaned:
                 raise DomainError(f"duplicate atom {atom!r} in weight map")
-            total += raw
             if raw != 0:
                 cleaned[atom] = raw
-        if total != ONE:
-            raise DomainError(f"weights must sum to exactly 1, got {_shown(total)}")
-        ordered = dict(sorted(cleaned.items(), key=lambda kv: self.layout.sort_key(kv[0])))
-        object.__setattr__(self, "weights", ordered)
+        _check_sum(cleaned.values())
+        object.__setattr__(self, "weights", _canonical(self.layout, cleaned))
         object.__setattr__(self, "_memo", {})
 
     def weight(self, atom: Atom) -> Fraction:
@@ -213,6 +232,77 @@ class CondProb:
         return sum((row.get(a, ZERO) for a in set(map(tuple, target_atoms))), ZERO)
 
 
+def _exact_sum(ratios: list[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of the fractions ``n/d`` given as pairs ``(n, d)``, as an unreduced pair.
+
+    Numerators over the same denominator are added first.  The distinct
+    denominators are then combined two at a time, level by level, each
+    pair over the lcm of its two denominators, so no term is rescaled to
+    the lcm of all of them: with many distinct large denominators the
+    cost stays near a few passes over the digits of the result.
+    """
+    if len(ratios) == 1:
+        return ratios[0]
+    by_den: dict[int, int] = {}
+    for n, d in ratios:
+        by_den[d] = by_den.get(d, 0) + n
+    terms = [(n, d) for d, n in by_den.items()] or [(0, 1)]
+    while len(terms) > 1:
+        halved = []
+        for (n1, d1), (n2, d2) in zip(terms[::2], terms[1::2]):
+            g = math.gcd(d1, d2)
+            halved.append((n1 * (d2 // g) + n2 * (d1 // g), d1 // g * d2))
+        terms = halved + terms[2 * len(halved):]
+    return terms[0]
+
+
+def _check_sum(weights: Iterable[Fraction]) -> None:
+    """Raise unless the weights sum to exactly one, checked in integers."""
+    total, den = _exact_sum([w.as_integer_ratio() for w in weights])
+    if total != den:
+        raise DomainError(f"weights must sum to exactly 1, got {_shown(Fraction(total, den))}")
+
+
+def _canonical_key(factors: tuple[FiniteSpace, ...]) -> Callable[[Atom], object]:
+    """Sort key for atoms over ``factors``, from index dicts fetched once."""
+    indexes = tuple(f._index for f in factors)
+    if len(indexes) == 1:
+        (index,) = indexes
+        return lambda atom: index[atom[0]]
+    return lambda atom: tuple(map(getitem, indexes, atom))
+
+
+def _canonical(layout: ProductLayout, weights: dict[Atom, Fraction]) -> dict[Atom, Fraction]:
+    return {atom: weights[atom] for atom in sorted(weights, key=_canonical_key(layout.factors))}
+
+
+def _projector(positions: tuple[int, ...]) -> Callable[[Atom], Atom]:
+    """The function taking an atom to the tuple of its labels at ``positions``."""
+    if len(positions) >= 2:
+        return itemgetter(*positions)
+    if positions:
+        (i,) = positions
+        return lambda atom: (atom[i],)
+    return lambda atom: ()
+
+
+def _derived(layout: ProductLayout, weights: dict[Atom, Fraction], canonical: bool = False) -> FiniteMeasure:
+    """The measure with positive weights computed from validated measures.
+
+    Only the sum is checked; see the module docstring for why nothing
+    else can be wrong.  ``canonical`` says the producer already emits the
+    atoms in canonical order, so they are not sorted again.
+    """
+    if not canonical:
+        weights = _canonical(layout, weights)
+    _check_sum(weights.values())
+    p = object.__new__(FiniteMeasure)
+    object.__setattr__(p, "layout", layout)
+    object.__setattr__(p, "weights", weights)
+    object.__setattr__(p, "_memo", {})
+    return p
+
+
 def _memoized(fn):
     """Cache ``fn(p, *coords)`` on ``p``; a call that raises caches nothing."""
 
@@ -230,12 +320,15 @@ def _memoized(fn):
 def marginal(p: FiniteMeasure, coords: Iterable[str]) -> FiniteMeasure:
     """Marginal of ``p`` on a nonempty subset of its coordinates."""
     names = p.layout.ordered(coords)
-    positions = p.layout.positions(names)
-    acc: dict[Atom, Fraction] = {}
+    project = _projector(p.layout.positions(names))
+    bins: dict[Atom, list[Fraction]] = {}
     for atom, w in p.weights.items():
-        key = tuple(atom[i] for i in positions)
-        acc[key] = acc.get(key, ZERO) + w
-    return FiniteMeasure(p.layout.sublayout(names), acc)
+        bins.setdefault(project(atom), []).append(w)
+    weights = {
+        key: ws[0] if len(ws) == 1 else Fraction(*_exact_sum([w.as_integer_ratio() for w in ws]))
+        for key, ws in bins.items()
+    }
+    return _derived(p.layout.sublayout(names), weights)
 
 
 @_memoized
@@ -253,25 +346,22 @@ def conditional(p: FiniteMeasure, target: Iterable[str], given: Iterable[str]) -
         raise LayoutError(f"target and given coordinates overlap: {sorted(overlap)}")
     t_pos = p.layout.positions(target_names)
     g_pos = p.layout.positions(given_names)
+    t_project, g_project = _projector(t_pos), _projector(g_pos)
 
-    given_mass: dict[Atom, Fraction] = {}
-    joint: dict[Atom, dict[Atom, Fraction]] = {}
+    joint: dict[Atom, dict[Atom, list[tuple[int, int]]]] = {}
     for atom, w in p.weights.items():
-        g = tuple(atom[i] for i in g_pos)
-        t = tuple(atom[i] for i in t_pos)
-        given_mass[g] = given_mass.get(g, ZERO) + w
-        row = joint.setdefault(g, {})
-        row[t] = row.get(t, ZERO) + w
+        joint.setdefault(g_project(atom), {}).setdefault(t_project(atom), []).append(w.as_integer_ratio())
 
-    g_layout = p.layout.sublayout(given_names)
-    t_layout = p.layout.sublayout(target_names)
+    t_key = _canonical_key(tuple(p.layout.factors[i] for i in t_pos))
+    g_key = _canonical_key(tuple(p.layout.factors[i] for i in g_pos))
     table: dict[Atom, dict[Atom, Fraction]] = {}
-    for g in sorted(given_mass, key=g_layout.sort_key):
-        mass = given_mass[g]
-        row = joint[g]
-        table[g] = {
-            t: row[t] / mass for t in sorted(row, key=t_layout.sort_key)
-        }
+    for g in sorted(joint, key=g_key):
+        cells = {t: _exact_sum(ratios) for t, ratios in joint[g].items()}
+        mass_n, mass_d = _exact_sum(list(cells.values()))
+        row = table[g] = {}
+        for t in sorted(cells, key=t_key):
+            n, d = cells[t]
+            row[t] = Fraction(n * mass_d, d * mass_n)
     return CondProb(target_names, given_names, table)
 
 
@@ -281,12 +371,14 @@ def product(q: FiniteMeasure, r: FiniteMeasure) -> FiniteMeasure:
     if collision:
         raise LayoutError(f"coordinate names collide: {sorted(collision)}")
     layout = ProductLayout(q.layout.factors + r.layout.factors)
+    r_items = [(ra, rw.numerator, rw.denominator) for ra, rw in r.weights.items()]
     weights = {
-        qa + ra: qw * rw
+        qa + ra: Fraction(qw.numerator * rn, qw.denominator * rd)
         for qa, qw in q.weights.items()
-        for ra, rw in r.weights.items()
+        for ra, rn, rd in r_items
     }
-    return FiniteMeasure(layout, weights)
+    # q's atoms then r's, each in canonical order: the product order is canonical
+    return _derived(layout, weights, canonical=True)
 
 
 def measures_equal(p: FiniteMeasure, q: FiniteMeasure) -> bool:
@@ -307,10 +399,9 @@ def reorder(p: FiniteMeasure, names: Iterable[str]) -> FiniteMeasure:
         raise LayoutError(f"reorder needs a permutation of {p.layout.names}, got {names}")
     if names == p.layout.names:
         return p
-    positions = p.layout.positions(names)
+    project = _projector(p.layout.positions(names))
     layout = ProductLayout(tuple(p.layout.space(n) for n in names))
-    weights = {tuple(atom[i] for i in positions): w for atom, w in p.weights.items()}
-    return FiniteMeasure(layout, weights)
+    return _derived(layout, {project(atom): w for atom, w in p.weights.items()})
 
 
 def fuse_factors(p: FiniteMeasure, coords: Iterable[str], new_name: str) -> FiniteMeasure:
@@ -322,11 +413,11 @@ def fuse_factors(p: FiniteMeasure, coords: Iterable[str], new_name: str) -> Fini
     relabelling: every event is still measurable.
     """
     fused = p.layout.ordered(coords)
-    fused_pos = p.layout.positions(fused)
     keep = [n for n in p.layout.names if n not in set(fused)]
     if new_name in keep:
         raise LayoutError(f"fused name {new_name!r} collides with remaining coordinate")
-    keep_pos = p.layout.positions(keep)
+    fused_project = _projector(p.layout.positions(fused))
+    keep_project = _projector(p.layout.positions(keep))
 
     labels = tuple(
         LABEL_SEPARATOR.join(combo)
@@ -335,12 +426,11 @@ def fuse_factors(p: FiniteMeasure, coords: Iterable[str], new_name: str) -> Fini
     layout = ProductLayout(
         tuple(p.layout.space(n) for n in keep) + (FiniteSpace(new_name, labels),)
     )
-    weights = {}
-    for atom, w in p.weights.items():
-        fused_label = LABEL_SEPARATOR.join(atom[i] for i in fused_pos)
-        key = tuple(atom[i] for i in keep_pos) + (fused_label,)
-        weights[key] = w
-    return FiniteMeasure(layout, weights)
+    weights = {
+        keep_project(atom) + (LABEL_SEPARATOR.join(fused_project(atom)),): w
+        for atom, w in p.weights.items()
+    }
+    return _derived(layout, weights)
 
 
 def point_mass(space: FiniteSpace, label: str) -> FiniteMeasure:

@@ -33,16 +33,47 @@ def rand_dist(rng: random.Random, labels, zero_chance=0.0, max_num=9):
     return {label: Fraction(n, total) for label, n in zip(labels, raw)}
 
 
-def rand_measure(rng: random.Random, factor_sizes, names=None) -> FiniteMeasure:
-    """A random measure on a generic layout, coordinates named c0, c1, ..."""
+def _generic_layout(factor_sizes, names=None) -> ProductLayout:
     if names is None:
         names = tuple(f"c{i}" for i in range(len(factor_sizes)))
-    factors = tuple(
+    return ProductLayout(tuple(
         FiniteSpace(name, tuple(str(i) for i in range(size)))
         for name, size in zip(names, factor_sizes)
-    )
-    layout = ProductLayout(factors)
+    ))
+
+
+def rand_measure(rng: random.Random, factor_sizes, names=None) -> FiniteMeasure:
+    """A random measure on a generic layout, coordinates named c0, c1, ..."""
+    layout = _generic_layout(factor_sizes, names)
     return FiniteMeasure(layout, rand_weight_map(rng, list(layout.atoms())))
+
+
+# The 24 smallest primes above 10**9.
+LARGE_PRIMES = (
+    1000000007, 1000000009, 1000000021, 1000000033, 1000000087, 1000000093,
+    1000000097, 1000000103, 1000000123, 1000000181, 1000000207, 1000000223,
+    1000000241, 1000000271, 1000000289, 1000000297, 1000000321, 1000000349,
+    1000000363, 1000000403, 1000000409, 1000000411, 1000000427, 1000000433,
+)
+
+
+def rand_coprime_measure(rng: random.Random, factor_sizes, names=None) -> FiniteMeasure:
+    """A random measure whose weights have large, pairwise-coprime denominators.
+
+    Every support atom but the last gets n/p for its own prime p above
+    10**9, with n/p at most 1/|support|; the last atom takes the rest,
+    over the product of those primes.  Layouts have at most
+    len(LARGE_PRIMES) + 1 atoms.
+    """
+    layout = _generic_layout(factor_sizes, names)
+    atoms = list(layout.atoms())
+    support = [atom for atom in atoms if rng.random() >= 0.3] or [rng.choice(atoms)]
+    weights = {
+        atom: Fraction(rng.randint(1, prime // len(support)), prime)
+        for atom, prime in zip(support[:-1], rng.sample(LARGE_PRIMES, len(support) - 1))
+    }
+    weights[support[-1]] = 1 - sum(weights.values())
+    return FiniteMeasure(layout, weights)
 
 
 def rand_empirical(rng: random.Random):

@@ -14,6 +14,7 @@ from hvkit.cli import load_model_file, main, parse_model_text, save_model_file, 
 from hvkit.errors import ModelFormatError, ResourceLimitError
 from hvkit.fixtures import FIXTURE_FILES
 from hvkit.models import EmpiricalModel, HVModel, empirical_model, hv_model
+from hvkit.quantumgen import singlet_model
 from hvkit.rationals import MAX_RATIONAL_DIGITS
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -225,6 +226,17 @@ class TestGenerateAndChsh:
         code = run_cli("chsh", str(FIXTURE_DIR / "pr_box.json"))
         assert code == 0
         assert "chsh = 4/1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "angle_args",
+        [("--angles-a", "-30,45", "--angles-b", "-.5"), ("--angles-a=-30,45", "--angles-b=-.5")],
+        ids=["space", "equals"],
+    )
+    def test_generate_reads_a_leading_negative_angle(self, angle_args, tmp_path):
+        out_file = tmp_path / "negative.json"
+        assert run_cli("generate", "singlet", *angle_args, "--out", str(out_file)) == 0
+        expected = serialize_model(singlet_model([-30.0, 45.0], [-0.5]))
+        assert out_file.read_text(encoding="utf-8") == expected
 
     def test_bad_angles_exit_two(self, tmp_path):
         assert run_cli(

@@ -5,10 +5,16 @@ import sys
 import threading
 import weakref
 from fractions import Fraction
+from itertools import combinations
+from itertools import product as product_of
+from math import gcd
 
 import pytest
 
+import hvkit.fiber as fiber_module
+import hvkit.measure as measure_module
 from hvkit.errors import DomainError, LayoutError
+from hvkit.fiber import fiber_product
 from hvkit.measure import (
     FiniteMeasure,
     FiniteSpace,
@@ -21,7 +27,7 @@ from hvkit.measure import (
     product,
     reorder,
 )
-from randmodels import rand_measure
+from randmodels import LARGE_PRIMES, rand_coprime_measure, rand_measure
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -417,3 +423,235 @@ class TestAlmostSureIdentities:
             assert is_product == factorizes == constant
             product_count += is_product
         assert product_count >= 100  # the even trials are genuine products
+
+
+# -- a Fraction-only oracle ---------------------------------------------------
+#
+# The measure operations as they were before they summed integers and built
+# derived measures without re-validation: every weight a Fraction, every
+# result sorted by looking up each label's index.  A measure here is a
+# (layout, weights) pair.
+
+
+def _oracle_sorted(layout, weights):
+    def key(atom):
+        return tuple(f.index(label) for f, label in zip(layout.factors, atom))
+
+    return layout, dict(sorted(weights.items(), key=lambda kv: key(kv[0])))
+
+
+def oracle_marginal(m, coords):
+    layout, weights = m
+    names = layout.ordered(coords)
+    positions = layout.positions(names)
+    acc = {}
+    for atom, w in weights.items():
+        key = tuple(atom[i] for i in positions)
+        acc[key] = acc.get(key, Fraction(0)) + w
+    return _oracle_sorted(layout.sublayout(names), acc)
+
+
+def oracle_conditional(m, target, given):
+    """The table as a list of (given atom, list of (target atom, value))."""
+    layout, weights = m
+    t_pos = layout.positions(layout.ordered(target))
+    g_pos = layout.positions(layout.ordered(given))
+    mass, joint = {}, {}
+    for atom, w in weights.items():
+        g = tuple(atom[i] for i in g_pos)
+        t = tuple(atom[i] for i in t_pos)
+        mass[g] = mass.get(g, Fraction(0)) + w
+        row = joint.setdefault(g, {})
+        row[t] = row.get(t, Fraction(0)) + w
+    _, given_order = _oracle_sorted(layout.sublayout(layout.ordered(given)), mass)
+    t_layout = layout.sublayout(layout.ordered(target))
+    return [
+        (g, [(t, w / mass[g]) for t, w in _oracle_sorted(t_layout, joint[g])[1].items()])
+        for g in given_order
+    ]
+
+
+def oracle_product(q, r):
+    weights = {qa + ra: qw * rw for qa, qw in q[1].items() for ra, rw in r[1].items()}
+    return _oracle_sorted(ProductLayout(q[0].factors + r[0].factors), weights)
+
+
+def oracle_reorder(m, names):
+    layout, weights = m
+    positions = layout.positions(names)
+    new_layout = ProductLayout(tuple(layout.space(n) for n in names))
+    return _oracle_sorted(new_layout, {tuple(atom[i] for i in positions): w for atom, w in weights.items()})
+
+
+def oracle_fuse_factors(m, coords, new_name):
+    layout, weights = m
+    fused = layout.ordered(coords)
+    keep = [n for n in layout.names if n not in fused]
+    labels = tuple("|".join(combo) for combo in product_of(*(layout.space(n).atoms for n in fused)))
+    new_layout = ProductLayout(tuple(layout.space(n) for n in keep) + (FiniteSpace(new_name, labels),))
+    f_pos, k_pos = layout.positions(fused), layout.positions(keep)
+    return _oracle_sorted(
+        new_layout,
+        {tuple(atom[i] for i in k_pos) + ("|".join(atom[i] for i in f_pos),): w for atom, w in weights.items()},
+    )
+
+
+def oracle_fiber_product(q, r, over):
+    z_names = q[0].ordered(over)
+    x_names = tuple(n for n in q[0].names if n not in z_names)
+    y_names = tuple(n for n in r[0].names if n not in z_names)
+    s = oracle_marginal(q, z_names)
+    kq = dict(oracle_conditional(oracle_reorder(q, x_names + z_names), x_names, z_names))
+    kr = dict(oracle_conditional(oracle_reorder(r, y_names + z_names), y_names, z_names))
+    layout = ProductLayout(
+        tuple(q[0].space(n) for n in x_names)
+        + tuple(r[0].space(n) for n in y_names)
+        + tuple(q[0].space(n) for n in z_names)
+    )
+    weights = {
+        x + y + z: qv * rv * mass
+        for z, mass in s[1].items()
+        for x, qv in kq[z]
+        for y, rv in kr[z]
+    }
+    return _oracle_sorted(layout, weights)
+
+
+def pair(m):
+    return m.layout, m.weights
+
+
+def assert_same_measure(m, oracle):
+    layout, weights = oracle
+    assert m.layout == layout
+    assert list(m.weights.items()) == list(weights.items())
+    assert all(type(w) is Fraction for w in m.weights.values())
+
+
+def nonempty_subsets(names):
+    return [tuple(c) for k in range(1, len(names) + 1) for c in combinations(names, k)]
+
+
+class TestIntegerKernels:
+    """The integer kernels and the derived constructor against the Fraction oracle."""
+
+    SIZES = ((2, 3, 2), (3, 2, 3), (2, 2, 2, 2))
+
+    def rand_measures(self, seed, count):
+        rng = random.Random(seed)
+        for i in range(count):
+            make = rand_coprime_measure if i % 2 else rand_measure
+            yield make(rng, rng.choice(self.SIZES))
+
+    def test_coprime_measures_have_large_pairwise_coprime_denominators(self):
+        p = rand_coprime_measure(random.Random(40), (2, 2, 2, 2))
+        dens = [w.denominator for w in p.weights.values()]
+        assert len(dens) > 3
+        assert max(dens) > 10**30
+        small = sorted(dens)[:-1]
+        assert all(gcd(a, b) == 1 for a, b in combinations(small, 2))
+
+    def test_exact_sum_matches_the_fraction_sum(self):
+        rng = random.Random(50)
+        for count in (0, 1, 2, 3, 7, 24, 100):
+            # repeated, shared and pairwise-coprime denominators, in any order
+            dens = [rng.choice((1, 6, 10**12, *LARGE_PRIMES[:5])) for _ in range(count)]
+            ratios = [(rng.randint(0, 10**15), d) for d in dens]
+            n, d = measure_module._exact_sum(ratios)
+            assert Fraction(n, d) == sum((Fraction(*r) for r in ratios), Fraction(0))
+
+    def test_marginal_and_conditional(self):
+        for p in self.rand_measures(41, 20):
+            names = p.layout.names
+            for coords in nonempty_subsets(names):
+                assert_same_measure(marginal(p, coords), oracle_marginal(pair(p), coords))
+                rest = [n for n in names if n not in coords]
+                for given in nonempty_subsets(rest):
+                    k = conditional(p, coords, given)
+                    table = [(g, list(row.items())) for g, row in k.table.items()]
+                    assert table == oracle_conditional(pair(p), coords, given)
+
+    def test_kernels_of_derived_measures(self):
+        for p in self.rand_measures(42, 20):
+            m = marginal(p, p.layout.names[1:])
+            oracle = oracle_marginal(pair(p), p.layout.names[1:])
+            first = m.layout.names[:1]
+            assert_same_measure(marginal(m, first), oracle_marginal(oracle, first))
+            k = conditional(m, first, m.layout.names[1:])
+            table = [(g, list(row.items())) for g, row in k.table.items()]
+            assert table == oracle_conditional(oracle, first, m.layout.names[1:])
+
+    def test_product_reorder_and_fuse(self):
+        rng = random.Random(43)
+        for p in self.rand_measures(44, 20):
+            names = p.layout.names
+            q = (rand_coprime_measure if rng.random() < 0.5 else rand_measure)(rng, (2, 3), names=("u", "v"))
+            assert_same_measure(product(p, q), oracle_product(pair(p), pair(q)))
+            assert_same_measure(product(q, p), oracle_product(pair(q), pair(p)))
+            shuffled = tuple(rng.sample(names, len(names)))
+            assert_same_measure(reorder(p, shuffled), oracle_reorder(pair(p), shuffled))
+            for coords in nonempty_subsets(names):
+                fused = fuse_factors(p, coords, "joint")
+                assert_same_measure(fused, oracle_fuse_factors(pair(p), coords, "joint"))
+
+    def test_fiber_product(self):
+        for p in self.rand_measures(45, 20):
+            x, y, *z = p.layout.names
+            q = marginal(p, (x, *z))
+            r = reorder(marginal(p, (y, *z)), (*z, y))
+            assert_same_measure(fiber_product(q, r, z), oracle_fiber_product(pair(q), pair(r), z))
+
+
+class TestDerivedSumCheck:
+    """The derived constructor still refuses weights that do not sum to one."""
+
+    @staticmethod
+    def drop_first_atom(monkeypatch, module):
+        original = module._derived
+
+        def dropping(layout, weights, canonical=False):
+            return original(layout, dict(list(weights.items())[1:]), canonical)
+
+        monkeypatch.setattr(module, "_derived", dropping)
+
+    def test_a_producer_that_drops_an_atom_is_refused(self, monkeypatch):
+        p = rand_measure(random.Random(46), (2, 3, 2))
+        q = rand_measure(random.Random(47), (2,), names=("u",))
+        r = product(marginal(p, ("c2",)), q)
+        self.drop_first_atom(monkeypatch, fiber_module)
+        with pytest.raises(DomainError, match="sum to exactly 1"):
+            fiber_product(p, r, ("c2",))
+        memo = dict(p._memo)  # what fiber_product's own marginals and conditionals cached
+        self.drop_first_atom(monkeypatch, measure_module)
+        calls = [
+            lambda: marginal(p, ("c0", "c2")),
+            lambda: reorder(p, ("c2", "c1", "c0")),
+            lambda: product(p, q),
+            lambda: fuse_factors(p, ("c1", "c2"), "joint"),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="sum to exactly 1"):
+                call()
+        assert p._memo == memo
+
+    def test_a_call_that_raises_leaves_no_memo_entry(self, monkeypatch):
+        p = rand_measure(random.Random(48), (2, 3, 2))
+        with pytest.raises(LayoutError):
+            conditional(p, ("c0",), ("nope",))
+        assert p._memo == {}
+        self.drop_first_atom(monkeypatch, measure_module)
+        with pytest.raises(DomainError):
+            marginal(p, ("c1",))
+        assert p._memo == {}
+        monkeypatch.undo()
+        marginal(p, ("c1",))
+        assert list(p._memo) == [("marginal", ("c1",))]
+
+    def test_equality_and_repr_ignore_the_memo_of_a_derived_measure(self):
+        p = rand_coprime_measure(random.Random(49), (2, 3, 2))
+        derived = marginal(p, ("c0", "c1"))
+        boundary = FiniteMeasure(derived.layout, dict(derived.weights))
+        conditional(derived, ("c0",), ("c1",))
+        assert derived._memo and not boundary._memo
+        assert derived == boundary
+        assert repr(derived) == repr(boundary)
