@@ -29,11 +29,11 @@ from typing import Mapping
 from .errors import InternalCheckError, PreconditionError
 from .fiber import fiber_product
 from .measure import (
-    LABEL_SEPARATOR,
     Atom,
     FiniteMeasure,
     FiniteSpace,
     ProductLayout,
+    _join_labels,
     conditional,
     fuse_factors,
     marginal,
@@ -149,7 +149,7 @@ def joint_outcome_tags(e: EmpiricalModel) -> tuple[str, ...]:
     """Hidden-space labels: one tagged copy of each joint outcome pair."""
     xa_atoms = e.space(XA).atoms
     xb_atoms = e.space(XB).atoms
-    return tuple(f"{xa}{LABEL_SEPARATOR}{xb}" for xa, xb in cartesian(xa_atoms, xb_atoms))
+    return tuple(map(_join_labels, cartesian(xa_atoms, xb_atoms)))
 
 
 def determinize_empirical(e: EmpiricalModel) -> HVModel:
@@ -172,7 +172,7 @@ def determinize_empirical(e: EmpiricalModel) -> HVModel:
     diagonal = FiniteMeasure(
         diag_layout,
         {
-            (xa, xb, f"{xa}{LABEL_SEPARATOR}{xb}"): w
+            (xa, xb, _join_labels((xa, xb))): w
             for (xa, xb), w in outcome_dist.weights.items()
         },
     )

@@ -5,18 +5,26 @@ extension of q and r under which X and Y are conditionally independent
 given Z.  On finite spaces it always exists and is unique, and the
 defining integral becomes a finite sum over the positive atoms of the
 shared marginal.
+
+:func:`is_fiber_product` recognizes a fiber product by three readings,
+all on conditionals in the extension's own coordinate order, so on the
+extension they are the kernels its memo already holds.  The two
+factoring readings compare integer cross-products of the stored entries
+and the collapse reading compares rows entry for entry; no ``Fraction``
+is built.  Neither function reorders a measure whose coordinates already
+run in the order it needs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as cartesian
 
 from .errors import InternalCheckError, LayoutError, PreconditionError
 from .measure import (
     FiniteMeasure,
     ProductLayout,
     _derived,
+    _projector,
     conditional,
     marginal,
     measures_equal,
@@ -70,10 +78,11 @@ def fiber_product(q: FiniteMeasure, r: FiniteMeasure, over) -> FiniteMeasure:
     x_names, y_names, z_names = _split_coords(q, r, over)
     s = _check_shared_marginal(q, r, z_names)
 
-    q_aligned = reorder(q, x_names + z_names)
-    r_aligned = reorder(r, y_names + z_names)
-    kq = conditional(q_aligned, x_names, z_names)
-    kr = conditional(r_aligned, y_names, z_names)
+    # x_names and z_names keep q's order; r's rows are looked up by z in that order
+    if r.layout.ordered(z_names) != z_names:
+        r = reorder(r, y_names + z_names)
+    kq = conditional(q, x_names, z_names)
+    kr = conditional(r, y_names, z_names)
 
     layout = ProductLayout(
         tuple(q.layout.space(n) for n in x_names)
@@ -91,6 +100,34 @@ def fiber_product(q: FiniteMeasure, r: FiniteMeasure, over) -> FiniteMeasure:
     return _derived(layout, weights)
 
 
+def _factors(row, x_row, y_row, x_of, y_of) -> bool:
+    """Whether ``row[t] == x_row[x_of(t)] * y_row[y_of(t)]`` at every target t.
+
+    Rows store only their positive entries, and t -> (x_of(t), y_of(t))
+    is one-to-one, so the identity holds at every target exactly when
+    ``row`` has as many entries as the two factor rows together span and
+    each entry matches.  Each entry is compared as the integer
+    cross-product jn*xd*yd == xn*yn*jd; no Fraction is built.
+    """
+    if len(row) != len(x_row) * len(y_row):
+        return False
+    for t, j in row.items():
+        a, b = x_row.get(x_of(t)), y_row.get(y_of(t))
+        if a is None or b is None:
+            return False
+        jn, jd = j.as_integer_ratio()
+        an, ad = a.as_integer_ratio()
+        bn, bd = b.as_integer_ratio()
+        if jn * ad * bd != an * bn * jd:
+            return False
+    return True
+
+
+def _kernel_factors(joint, kx, ky, x_of, y_of) -> bool:
+    """Whether ``joint`` is the product of ``kx`` and ``ky`` given every conditioning atom."""
+    return all(_factors(row, kx.row(z), ky.row(z), x_of, y_of) for z, row in joint.table.items())
+
+
 def is_fiber_product(p: FiniteMeasure, q: FiniteMeasure, r: FiniteMeasure, over) -> bool:
     """Whether the common extension ``p`` is the fiber product of q and r.
 
@@ -101,7 +138,13 @@ def is_fiber_product(p: FiniteMeasure, q: FiniteMeasure, r: FiniteMeasure, over)
     disagreement raises, since it would mean the package itself is broken.
 
     Checking singleton events suffices: finite additivity extends the
-    identities to all events.
+    identities to all events.  Every conditional is taken in p's own
+    coordinate order, so on p they are the kernels its memo already
+    holds; q or r is reordered only when its coordinates run in another
+    order.  A joint target atom is split into its x and y parts by
+    position, each factoring reading compares integer cross-products of
+    the stored entries (see :func:`_factors`), and the collapse reading
+    compares rows entry for entry.
     """
     x_names, y_names, z_names = _split_coords(q, r, over)
     for name in x_names + y_names + z_names:
@@ -121,30 +164,26 @@ def is_fiber_product(p: FiniteMeasure, q: FiniteMeasure, r: FiniteMeasure, over)
     if not measures_equal(reorder(marginal(p, r_cols), r.layout.names), r):
         raise PreconditionError("p is not an extension of the second measure")
 
-    p_aligned = reorder(p, x_names + y_names + z_names)
-    q_aligned = reorder(q, x_names + z_names)
-    r_aligned = reorder(r, y_names + z_names)
+    xs, ys, zs = p.layout.ordered(x_names), p.layout.ordered(y_names), p.layout.ordered(z_names)
+    xy = p.layout.ordered(x_names + y_names)
+    x_of = _projector(tuple(i for i, n in enumerate(xy) if n in xs))
+    y_of = _projector(tuple(i for i, n in enumerate(xy) if n in ys))
 
-    x_atoms = list(cartesian(*(q_aligned.layout.space(n).atoms for n in x_names)))
-    y_atoms = list(cartesian(*(r_aligned.layout.space(n).atoms for n in y_names)))
-
-    k_joint = conditional(p_aligned, x_names + y_names, z_names)
-    kq = conditional(q_aligned, x_names, z_names)
-    kr = conditional(r_aligned, y_names, z_names)
-    kpx = conditional(p_aligned, x_names, z_names)
-    kpy = conditional(p_aligned, y_names, z_names)
-
-    cells = [(z, x, y) for z in k_joint.given_atoms() for x in x_atoms for y in y_atoms]
-    via_inputs = all(k_joint.value(z, x + y) == kq.value(z, x) * kr.value(z, y) for z, x, y in cells)
-    via_extension = all(k_joint.value(z, x + y) == kpx.value(z, x) * kpy.value(z, y) for z, x, y in cells)
+    k_joint = conditional(p, xy, zs)
+    kpx = conditional(p, xs, zs)
+    via_inputs = _kernel_factors(
+        k_joint,
+        conditional(reorder(q, q_cols), xs, zs),
+        conditional(reorder(r, r_cols), ys, zs),
+        x_of,
+        y_of,
+    )
+    via_extension = _kernel_factors(k_joint, kpx, conditional(p, ys, zs), x_of, y_of)
 
     # conditional on the enlarged algebra must collapse to the shared one
-    k_enlarged = conditional(p_aligned, x_names, y_names + z_names)
-    z_positions = [i for i, n in enumerate(y_names + z_names) if n in set(z_names)]
+    z_of = _projector(tuple(i for i, n in enumerate(r_cols) if n in zs))
     via_collapse = all(
-        k_enlarged.value(yz, x) == kpx.value(tuple(yz[i] for i in z_positions), x)
-        for yz in k_enlarged.given_atoms()
-        for x in x_atoms
+        row == kpx.row(z_of(yz)) for yz, row in conditional(p, xs, r_cols).table.items()
     )
 
     if not (via_inputs == via_extension == via_collapse):

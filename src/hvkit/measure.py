@@ -56,6 +56,24 @@ Atom = tuple[str, ...]
 
 # Joins the labels of the coordinates fuse_factors merges into one.
 LABEL_SEPARATOR = "|"
+_ESCAPE = "\\"
+
+
+def _join_labels(labels: tuple[str, ...]) -> str:
+    """Join labels with LABEL_SEPARATOR, escaping the escape and the separator in each.
+
+    Distinct label tuples give distinct joined labels.  A label that
+    contains neither character is kept as it is, so when the plain join
+    holds no escape and one separator fewer than there are labels, it is
+    already the result.
+    """
+    joined = LABEL_SEPARATOR.join(labels)
+    if _ESCAPE in joined or joined.count(LABEL_SEPARATOR) >= len(labels):
+        joined = LABEL_SEPARATOR.join(
+            label.replace(_ESCAPE, _ESCAPE + _ESCAPE).replace(LABEL_SEPARATOR, _ESCAPE + LABEL_SEPARATOR)
+            for label in labels
+        )
+    return joined
 
 
 @dataclass(frozen=True)
@@ -99,7 +117,11 @@ class FiniteSpace:
 
 @dataclass(frozen=True)
 class ProductLayout:
-    """An ordered product of named finite coordinates."""
+    """An ordered product of named finite coordinates.
+
+    ``names``, the coordinate names in layout order, is computed once at
+    construction; it is not a field, so equality, hash and repr ignore it.
+    """
 
     factors: tuple[FiniteSpace, ...]
 
@@ -110,12 +132,9 @@ class ProductLayout:
             if factor.name in positions:
                 raise LayoutError(f"duplicate coordinate name {factor.name!r}")
             positions[factor.name] = i
+        object.__setattr__(self, "names", tuple(positions))
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_indexes", tuple(f._index for f in self.factors))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.factors)
 
     def space(self, name: str) -> FiniteSpace:
         return self.factors[self.position(name)]
@@ -405,7 +424,7 @@ def reorder(p: FiniteMeasure, names: Iterable[str]) -> FiniteMeasure:
 
 
 def fuse_factors(p: FiniteMeasure, coords: Iterable[str], new_name: str) -> FiniteMeasure:
-    """Merge several coordinates into one whose labels join theirs with LABEL_SEPARATOR.
+    """Merge several coordinates into one whose labels join theirs with :func:`_join_labels`.
 
     The fused coordinate's atom list is the full cartesian product of the
     merged factors in canonical order, so zero-weight combinations remain
@@ -419,15 +438,12 @@ def fuse_factors(p: FiniteMeasure, coords: Iterable[str], new_name: str) -> Fini
     fused_project = _projector(p.layout.positions(fused))
     keep_project = _projector(p.layout.positions(keep))
 
-    labels = tuple(
-        LABEL_SEPARATOR.join(combo)
-        for combo in cartesian(*(p.layout.space(n).atoms for n in fused))
-    )
+    labels = tuple(map(_join_labels, cartesian(*(p.layout.space(n).atoms for n in fused))))
     layout = ProductLayout(
         tuple(p.layout.space(n) for n in keep) + (FiniteSpace(new_name, labels),)
     )
     weights = {
-        keep_project(atom) + (LABEL_SEPARATOR.join(fused_project(atom)),): w
+        keep_project(atom) + (_join_labels(fused_project(atom)),): w
         for atom, w in p.weights.items()
     }
     return _derived(layout, weights)

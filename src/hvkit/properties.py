@@ -9,11 +9,16 @@ a disagreement is an internal bug, not a property of the input, and
 raises.
 
 Witness selection is deterministic, so failing checks are reproducible
-golden values.  Every search runs through :func:`_first_violation`: the
-conditioning atoms in canonical order on the outside, the target atoms
-in canonical order on the inside, and the first pair where the two sides
-differ is the witness, its assignment listing the target labels before
-the conditioning labels.
+golden values.  The witness is the first pair where the two sides
+differ, the conditioning atoms in canonical order on the outside and the
+target atoms in canonical order on the inside, its assignment listing
+the target labels before the conditioning labels.  A conditional
+identity is decided row by row on the stored entries of the memoized
+conditionals, and only the first row that fails is searched cell by cell
+through :func:`_first_violation` for the witness.  Products are compared
+as integer cross-products of numerators and denominators, and a
+``Fraction`` product is formed only for a witness's right side.  The
+zero-one test reads ``v == 1`` on stored entries, which are positive.
 """
 
 from __future__ import annotations
@@ -21,11 +26,21 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import itemgetter, mul
 
 from .errors import InternalCheckError
-from .fiber import is_fiber_product
+from .fiber import _factors, is_fiber_product
 from .measure import conditional, marginal, measures_equal, product
 from .models import HVModel, LAM, XA, XB, YA, YB
+
+
+# the xa and xb parts of a joint (xa, xb) target atom
+_XA_PART, _XB_PART = itemgetter(slice(None, 1)), itemgetter(slice(1, None))
+
+# parts of a (ya, yb, lam) conditioning atom: each party's own setting
+# with lam, and all three
+_A_OWN, _B_OWN, _BOTH = itemgetter(0, 2), itemgetter(1, 2), itemgetter(0, 1, 2)
 
 
 class HVProperty(enum.Enum):
@@ -58,33 +73,80 @@ class PropertyReport:
     witness: Witness | None = None
 
 
-def _first_violation(coords, givens, targets, lhs, rhs) -> Witness | None:
-    """The first (given, target) pair where lhs != rhs, in the module-docstring order.
+def _is_product(value: Fraction, factors: tuple[Fraction, ...]) -> bool:
+    """Whether ``value`` equals the product of ``factors``, as an integer cross-product."""
+    left, right = value.as_integer_ratio()
+    for factor in factors:
+        n, d = factor.as_integer_ratio()
+        left *= d
+        right *= n
+    return left == right
 
-    ``targets`` must be a sequence, since it is walked again for every given.
+
+def _first_violation(coords, givens, targets, lhs, rhs) -> Witness | None:
+    """The first (given, target) pair where lhs differs from rhs, in the module-docstring order.
+
+    ``rhs`` returns the right side as a tuple of factors.  The sides are
+    compared as integer cross-products, and the product is formed only
+    for the witness.  ``targets`` must be a sequence, since it is walked
+    again for every given.
     """
     for given in givens:
         for target in targets:
-            left, right = lhs(given, target), rhs(given, target)
-            if left != right:
-                return Witness(tuple(zip(coords, target + given)), left, right)
+            left, factors = lhs(given, target), rhs(given, target)
+            if not _is_product(left, factors):
+                return Witness(tuple(zip(coords, target + given)), left, reduce(mul, factors))
     return None
 
 
-def _kernel_violation(p: HVModel, kernel, rhs) -> Witness | None:
-    """First violation of ``kernel.value == rhs`` over every atom of the kernel."""
+def _kernel_violation(p: HVModel, kernel, row_holds, rhs) -> Witness | None:
+    """First violation of ``kernel.value == rhs`` over every atom of the kernel.
+
+    ``row_holds(given, row)`` decides the identity on a whole row from its
+    stored entries.  Only the first row it rejects is searched cell by
+    cell for the witness, and that row must hold one.
+    """
     coords = kernel.target_coords + kernel.given_coords
     targets = tuple(p.measure.layout.sublayout(kernel.target_coords).atoms())
-    return _first_violation(coords, kernel.given_atoms(), targets, kernel.value, rhs)
+    for given, row in kernel.table.items():
+        if not row_holds(given, row):
+            witness = _first_violation(coords, (given,), targets, kernel.value, rhs)
+            if witness is None:
+                raise InternalCheckError(f"row {given!r} of {kernel.target_coords} fails, yet no cell differs")
+            return witness
+    return None
 
 
-def _zero_one_violation(p: HVModel, kernel) -> Witness | None:
-    """First strictly interior conditional, if any.
+def _product_violation(p: HVModel, kernel, k_a, k_b, a_given, b_given) -> Witness | None:
+    """First violation of kernel(xa, xb | g) == k_a(xa | a_given(g)) * k_b(xb | b_given(g))."""
+    return _kernel_violation(
+        p,
+        kernel,
+        lambda g, row: _factors(row, k_a.row(a_given(g)), k_b.row(b_given(g)), _XA_PART, _XB_PART),
+        lambda g, t: (k_a.value(a_given(g), _XA_PART(t)), k_b.value(b_given(g), _XB_PART(t))),
+    )
 
-    A value v is in {0, 1} exactly when v equals its own square, so the
-    witness reports (v, v*v).  Absent table entries are zero and pass.
+
+def _own_setting_violation(p: HVModel, k_both, k_own, own) -> Witness | None:
+    """First violation of k_both(x | g) == k_own(x | own(g)); rows compare entry for entry."""
+    return _kernel_violation(
+        p, k_both, lambda g, row: row == k_own.row(own(g)), lambda g, t: (k_own.value(own(g), t),)
+    )
+
+
+def _zero_one_violation(kernel) -> Witness | None:
+    """First conditional strictly between 0 and 1, if any.
+
+    Stored entries are positive, so one lies in {0, 1} exactly when it is
+    1, and absent entries are zero and pass.  The witness reports
+    (v, v*v), the two sides of v == v*v.
     """
-    return _kernel_violation(p, kernel, lambda g, t: kernel.value(g, t) ** 2)
+    coords = kernel.target_coords + kernel.given_coords
+    for given, row in kernel.table.items():
+        for target, v in row.items():
+            if v != 1:
+                return Witness(tuple(zip(coords, target + given)), v, v * v)
+    return None
 
 
 def _assert_agreement(prop: HVProperty, **readings: bool) -> None:
@@ -114,9 +176,7 @@ def check_locality(p: HVModel) -> PropertyReport:
     k_joint = conditional(m, (XA, XB), (YA, YB, LAM))
     k_a = conditional(m, (XA,), (YA, LAM))
     k_b = conditional(m, (XB,), (YB, LAM))
-    witness = _kernel_violation(
-        p, k_joint, lambda g, t: k_a.value((g[0], g[2]), t[:1]) * k_b.value((g[1], g[2]), t[1:])
-    )
+    witness = _product_violation(p, k_joint, k_a, k_b, _A_OWN, _B_OWN)
 
     # locality is outcome independence and parameter independence together
     via_fiber = _outcome_fiber(m) and _parameter_fibers(m)
@@ -131,9 +191,9 @@ def check_parameter_independence(p: HVModel) -> PropertyReport:
     k_a_own = conditional(m, (XA,), (YA, LAM))
     k_b_both = conditional(m, (XB,), (YA, YB, LAM))
     k_b_own = conditional(m, (XB,), (YB, LAM))
-    witness = _kernel_violation(
-        p, k_a_both, lambda g, t: k_a_own.value((g[0], g[2]), t)
-    ) or _kernel_violation(p, k_b_both, lambda g, t: k_b_own.value((g[1], g[2]), t))
+    witness = _own_setting_violation(p, k_a_both, k_a_own, _A_OWN) or _own_setting_violation(
+        p, k_b_both, k_b_own, _B_OWN
+    )
 
     _assert_agreement(HVProperty.PARAMETER_INDEPENDENCE, equation=witness is None, fiber=_parameter_fibers(m))
     return PropertyReport(HVProperty.PARAMETER_INDEPENDENCE, witness is None, witness)
@@ -145,7 +205,7 @@ def check_outcome_independence(p: HVModel) -> PropertyReport:
     k_joint = conditional(m, (XA, XB), (YA, YB, LAM))
     k_a = conditional(m, (XA,), (YA, YB, LAM))
     k_b = conditional(m, (XB,), (YA, YB, LAM))
-    witness = _kernel_violation(p, k_joint, lambda g, t: k_a.value(g, t[:1]) * k_b.value(g, t[1:]))
+    witness = _product_violation(p, k_joint, k_a, k_b, _BOTH, _BOTH)
 
     _assert_agreement(HVProperty.OUTCOME_INDEPENDENCE, equation=witness is None, fiber=_outcome_fiber(m))
     return PropertyReport(HVProperty.OUTCOME_INDEPENDENCE, witness is None, witness)
@@ -165,28 +225,21 @@ def check_lambda_independence(p: HVModel) -> PropertyReport:
     # atomwise factorization; positive atoms suffice for the verdict
     # (matching on the support forces the zero atoms to match by mass),
     # but a failing witness is searched in full canonical layout order.
-    factorizes = all(
-        w == p_y.weight((ya, yb)) * p_lam.weight((lam,))
-        for (ya, yb, lam), w in r.weights.items()
-    )
+    def factors(atom):
+        return p_y.weight(atom[:2]), p_lam.weight(atom[2:])
+
+    factorizes = all(_is_product(w, factors(atom)) for atom, w in r.weights.items())
     witness = None
     if not factorizes:
         witness = _first_violation(
-            (YA, YB, LAM),
-            r.layout.atoms(),
-            ((),),
-            lambda atom, _: r.weight(atom),
-            lambda atom, _: p_y.weight(atom[:2]) * p_lam.weight(atom[2:]),
+            (YA, YB, LAM), r.layout.atoms(), ((),), lambda atom, _: r.weight(atom), lambda atom, _: factors(atom)
         )
 
     via_product = measures_equal(r, product(p_y, p_lam))
 
+    # absent entries are zero on both sides, so rows compare as dicts
     k = conditional(r, (LAM,), (YA, YB))
-    via_constancy = all(
-        k.value(y, (lam,)) == p_lam.weight((lam,))
-        for y in k.given_atoms()
-        for lam in p.space(LAM).atoms
-    )
+    via_constancy = all(row == p_lam.weights for row in k.table.values())
 
     _assert_agreement(
         HVProperty.LAMBDA_INDEPENDENCE,
@@ -200,12 +253,12 @@ def check_lambda_independence(p: HVModel) -> PropertyReport:
 def check_weak_determinism(p: HVModel) -> PropertyReport:
     """Both settings plus lam almost surely pin down the joint outcome."""
     m = p.measure
-    witness = _zero_one_violation(p, conditional(m, (XA, XB), (YA, YB, LAM)))
+    witness = _zero_one_violation(conditional(m, (XA, XB), (YA, YB, LAM)))
 
     # equivalent per-party reading: each single outcome conditional is 0/1
     k_a = conditional(m, (XA,), (YA, YB, LAM))
     k_b = conditional(m, (XB,), (YA, YB, LAM))
-    per_party = _zero_one_violation(p, k_a) is None and _zero_one_violation(p, k_b) is None
+    per_party = _zero_one_violation(k_a) is None and _zero_one_violation(k_b) is None
     _assert_agreement(HVProperty.WEAK_DETERMINISM, joint=witness is None, per_party=per_party)
     return PropertyReport(HVProperty.WEAK_DETERMINISM, witness is None, witness)
 
@@ -213,8 +266,8 @@ def check_weak_determinism(p: HVModel) -> PropertyReport:
 def check_strong_determinism(p: HVModel) -> PropertyReport:
     """Each party's own setting plus lam almost surely pins down its outcome."""
     m = p.measure
-    witness = _zero_one_violation(p, conditional(m, (XA,), (YA, LAM))) or _zero_one_violation(
-        p, conditional(m, (XB,), (YB, LAM))
+    witness = _zero_one_violation(conditional(m, (XA,), (YA, LAM))) or _zero_one_violation(
+        conditional(m, (XB,), (YB, LAM))
     )
     return PropertyReport(HVProperty.STRONG_DETERMINISM, witness is None, witness)
 

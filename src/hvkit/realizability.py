@@ -12,7 +12,8 @@ the sign-variant family of the standard correlator inequality whenever
 one of them is violated (for no-signaling behaviors that family is
 complete); otherwise the LP dual is emitted, scaled to primitive integer
 coefficients.  Either way the certificate's bound is recomputed by full
-strategy enumeration and the strict inequality is re-verified exactly.
+strategy enumeration, in integers over the lcm of the coefficients'
+denominators, and the strict inequality is re-verified exactly.
 """
 
 from __future__ import annotations
@@ -150,9 +151,21 @@ def _evaluate_functional(functional, kernel) -> Fraction:
     return total
 
 
-def _evaluate_functional_on_strategy(functional, strategy, ya, yb, contexts) -> Fraction:
-    atoms = (_strategy_outcome(strategy, ya, yb, context) + context for context in contexts)
-    return sum((functional.get(atom, ZERO) for atom in atoms), ZERO)
+def _classical_bound(functional, strategies, ya, yb, contexts) -> Fraction:
+    """The functional's maximum over every strategy, by full enumeration in integers.
+
+    The coefficients are scaled once to integers over the lcm of their
+    denominators, each strategy's value is an integer sum, and one
+    ``Fraction`` is built from the largest.
+    """
+    scale = lcm(*(c.denominator for c in functional.values()))
+    coefficients = {atom: c.numerator * (scale // c.denominator) for atom, c in functional.items()}
+    positions = [(ya.index(context[0]), yb.index(context[1]), context) for context in contexts]
+    best = max(
+        sum(coefficients.get((s.outcomes_a[i], s.outcomes_b[j]) + context, 0) for i, j, context in positions)
+        for s in strategies
+    )
+    return Fraction(best, scale)
 
 
 def _correlator_variants(e: EmpiricalModel, kernel):
@@ -206,10 +219,7 @@ def _infeasible_certificate(e, strategies, dual) -> LocalityCertificate:
         rows = [(oa, ob) + context for context in contexts for oa in xa.atoms for ob in xb.atoms]
         functional = _primitive_integer_scaling(dict(zip(rows, dual)))
 
-    bound = max(
-        _evaluate_functional_on_strategy(functional, s, ya, yb, contexts)
-        for s in strategies
-    )
+    bound = _classical_bound(functional, strategies, ya, yb, contexts)
     achieved = _evaluate_functional(functional, kernel)
     if achieved <= bound:
         raise InternalCheckError("separating functional does not separate")

@@ -135,6 +135,21 @@ class TestDeterminizeCommand:
         assert isinstance(written, HVModel)
         assert run_cli("check", str(out_file), "--property", "strongdet") == 0
 
+    def test_outcome_labels_holding_the_separator(self, tmp_path, capsys):
+        # ("a|b", "c") and ("a", "b|c") must not share the hidden tag "a|b|c"
+        xa, xb = ("a|b", "a"), ("c", "b|c")
+        quarter = Fraction(1, 4)
+        model_file = tmp_path / "model.json"
+        save_model_file(
+            empirical_model(xa, xb, "0", "0", {(a, b, "0", "0"): quarter for a in xa for b in xb}), str(model_file)
+        )
+        assert run_cli("verify", str(model_file)) == 0
+        assert "deterministic realization: consistent" in capsys.readouterr().out
+        out_file = tmp_path / "out.json"
+        assert run_cli("determinize", str(model_file), "--method", "empirical", "--out", str(out_file)) == 0
+        assert "strongdet=ok" in capsys.readouterr().out
+        assert len(load_model_file(str(out_file)).space("lam")) == 4
+
     def test_local_method_on_nonlocal_input_exits_one(self, capsys):
         code = run_cli(
             "determinize", str(FIXTURE_DIR / "pr_box_singleton_hv.json"),

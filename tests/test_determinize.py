@@ -9,6 +9,7 @@ from hvkit.determinize import (
     determinize_empirical,
     determinize_local,
     interval_partition,
+    joint_outcome_tags,
     refined_cells,
     trivial_hv,
 )
@@ -83,6 +84,19 @@ class TestDeterminizeEmpirical:
             assert p.space("lam").atoms == ("0|0", "0|1", "1|0", "1|1")
             assert realizes(p, e)
             assert check_strong_determinism(p).holds
+
+
+    def test_outcome_labels_holding_the_separator_get_distinct_tags(self):
+        # ("a|b", "c") and ("a", "b|c") would both be tagged "a|b|c" unescaped
+        quarter = Fraction(1, 4)
+        xa, xb = ("a|b", "a"), ("c", "b|c")
+        e = empirical_model(xa, xb, ("y",), ("y",), {(a, b, "y", "y"): quarter for a in xa for b in xb})
+        p = determinize_empirical(e)
+        tags = p.space("lam").atoms
+        assert len(set(tags)) == 4
+        assert tags == joint_outcome_tags(e)
+        assert realizes(p, e)
+        assert check_strong_determinism(p).holds
 
 
 class TestIntervalPartition:

@@ -3,11 +3,14 @@
 import random
 from fractions import Fraction
 from itertools import product as cartesian
+from operator import itemgetter
 
 import pytest
 
-from hvkit.errors import LayoutError, PreconditionError
-from hvkit.fiber import fiber_product, is_fiber_product
+import hvkit.fiber as fiber_module
+from hvkit.errors import InternalCheckError, LayoutError, PreconditionError
+from hvkit.fiber import _check_shared_marginal, _split_coords, fiber_product, is_fiber_product
+from hvkit.fixtures import fair_coin_product_model, pr_box_hv
 from hvkit.measure import (
     FiniteMeasure,
     FiniteSpace,
@@ -18,7 +21,9 @@ from hvkit.measure import (
     product,
     reorder,
 )
-from randmodels import rand_dist, rand_measure
+from hvkit.models import HV_COORDS
+from hvkit.properties import check_all
+from randmodels import rand_dist, rand_hv_mixed, rand_measure
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -239,3 +244,199 @@ class TestRandomizedInvariants:
                 for x in ("0", "1"):
                     for y in ("0", "1"):
                         assert joint.value(z, (x, y)) == kx.value(z, (x,)) * ky.value(z, (y,))
+
+
+# ---------------------------------------------------------------------------
+# The reorder-and-Fraction fiber code this package used before its readings
+# became integer comparisons on the model's own conditionals, kept as a
+# reference.  Both take the shared preconditions from hvkit.fiber.
+
+
+def oracle_fiber_product(q, r, over):
+    x_names, y_names, z_names = _split_coords(q, r, over)
+    s = _check_shared_marginal(q, r, z_names)
+
+    q_aligned = reorder(q, x_names + z_names)
+    r_aligned = reorder(r, y_names + z_names)
+    kq = conditional(q_aligned, x_names, z_names)
+    kr = conditional(r_aligned, y_names, z_names)
+
+    layout = ProductLayout(
+        tuple(q.layout.space(n) for n in x_names)
+        + tuple(r.layout.space(n) for n in y_names)
+        + tuple(q.layout.space(n) for n in z_names)
+    )
+    weights = {}
+    for z, mass in s.weights.items():
+        for x, qv in kq.row(z).items():
+            for y, rv in kr.row(z).items():
+                weights[x + y + z] = qv * rv * mass
+    return FiniteMeasure(layout, weights)
+
+
+def oracle_is_fiber_product(p, q, r, over):
+    x_names, y_names, z_names = _split_coords(q, r, over)
+    for name in x_names + y_names + z_names:
+        p.layout.position(name)
+    if set(p.layout.names) != set(x_names + y_names + z_names):
+        raise LayoutError(
+            f"extension has coordinates {p.layout.names}, expected exactly "
+            f"{x_names + y_names + z_names}"
+        )
+    _check_shared_marginal(q, r, z_names)
+
+    q_cols = p.layout.ordered(x_names + z_names)
+    r_cols = p.layout.ordered(y_names + z_names)
+    if not measures_equal(reorder(marginal(p, q_cols), q.layout.names), q):
+        raise PreconditionError("p is not an extension of the first measure")
+    if not measures_equal(reorder(marginal(p, r_cols), r.layout.names), r):
+        raise PreconditionError("p is not an extension of the second measure")
+
+    p_aligned = reorder(p, x_names + y_names + z_names)
+    q_aligned = reorder(q, x_names + z_names)
+    r_aligned = reorder(r, y_names + z_names)
+
+    x_atoms = list(cartesian(*(q_aligned.layout.space(n).atoms for n in x_names)))
+    y_atoms = list(cartesian(*(r_aligned.layout.space(n).atoms for n in y_names)))
+
+    k_joint = conditional(p_aligned, x_names + y_names, z_names)
+    kq = conditional(q_aligned, x_names, z_names)
+    kr = conditional(r_aligned, y_names, z_names)
+    kpx = conditional(p_aligned, x_names, z_names)
+    kpy = conditional(p_aligned, y_names, z_names)
+
+    cells = [(z, x, y) for z in k_joint.given_atoms() for x in x_atoms for y in y_atoms]
+    via_inputs = all(k_joint.value(z, x + y) == kq.value(z, x) * kr.value(z, y) for z, x, y in cells)
+    via_extension = all(k_joint.value(z, x + y) == kpx.value(z, x) * kpy.value(z, y) for z, x, y in cells)
+
+    k_enlarged = conditional(p_aligned, x_names, y_names + z_names)
+    z_positions = [i for i, n in enumerate(y_names + z_names) if n in set(z_names)]
+    via_collapse = all(
+        k_enlarged.value(yz, x) == kpx.value(tuple(yz[i] for i in z_positions), x)
+        for yz in k_enlarged.given_atoms()
+        for x in x_atoms
+    )
+
+    if not (via_inputs == via_extension == via_collapse):
+        raise InternalCheckError("fiber characterizations disagree")
+    return via_inputs
+
+
+# x has two coordinates and z two, so a layout can interleave them
+NAMES = {"x": ("x1", "x2"), "y": ("y",), "z": ("z1", "z2")}
+SIZES = {"x1": 2, "x2": 2, "y": 3, "z1": 2, "z2": 2}
+
+
+def rand_base(rng, names):
+    """A random measure on ``names`` in that order, some z cells of zero mass."""
+    layout = ProductLayout(tuple(FiniteSpace(n, tuple(map(str, range(SIZES[n])))) for n in names))
+    z_at = [names.index(n) for n in NAMES["z"]]
+    empty = {tuple(rng.choice(("0", "1")) for _ in z_at) for _ in range(rng.choice((0, 0, 1, 2)))}
+    raw = {
+        atom: rng.choice((0, 0, 1, 2, 3, 5))
+        for atom in layout.atoms()
+        if tuple(atom[i] for i in z_at) not in empty
+    }
+    if not any(raw.values()):
+        raw[next(iter(raw))] = 1
+    total = sum(raw.values())
+    return FiniteMeasure(layout, {atom: Fraction(n, total) for atom, n in raw.items() if n})
+
+
+def shuffled(rng, names):
+    names = list(names)
+    rng.shuffle(names)
+    return tuple(names)
+
+
+def rand_triple(rng):
+    """(p, q, r) with q and r the x-z and y-z marginals of a random base, each in a random
+    coordinate order; p is their fiber product or the base itself, in a random order."""
+    base = rand_base(rng, shuffled(rng, sum(NAMES.values(), ())))
+    q = reorder(marginal(base, NAMES["x"] + NAMES["z"]), shuffled(rng, NAMES["x"] + NAMES["z"]))
+    r = reorder(marginal(base, NAMES["y"] + NAMES["z"]), shuffled(rng, NAMES["y"] + NAMES["z"]))
+    p = fiber_product(q, r, over=NAMES["z"]) if rng.random() < 0.5 else base
+    return reorder(p, shuffled(rng, p.layout.names)), q, r
+
+
+def outcome(fn, *args):
+    """``fn``'s result, or the type and message of what it raised."""
+    try:
+        return "returned", fn(*args)
+    except Exception as exc:  # compared with the oracle, not handled
+        return "raised", type(exc), str(exc)
+
+
+class TestAgainstReorderOracle:
+    def test_verdicts_and_exceptions_match(self):
+        rng = random.Random(23)
+        verdicts = {True: 0, False: 0}
+        for _ in range(300):
+            p, q, r = rand_triple(rng)
+            if rng.random() < 0.15:
+                # not an extension of q, so both raise PreconditionError
+                p = reorder(rand_base(rng, p.layout.names), p.layout.names)
+            over = shuffled(rng, NAMES["z"])
+            got = outcome(is_fiber_product, p, q, r, over)
+            assert got == outcome(oracle_is_fiber_product, p, q, r, over)
+            if got[0] == "returned":
+                verdicts[got[1]] += 1
+        # both verdicts have to occur for this to test anything
+        assert verdicts[True] >= 20 and verdicts[False] >= 20
+
+    def test_layout_errors_match(self):
+        rng = random.Random(29)
+        p, q, r = rand_triple(rng)
+        for over in (("z1",), ("z1", "z2", "y"), ("nope",)):
+            got = outcome(is_fiber_product, p, q, r, over)
+            assert got[0] == "raised"
+            assert got == outcome(oracle_is_fiber_product, p, q, r, over)
+        bigger = marginal(p, ("x1", "y", "z1", "z2"))
+        assert outcome(is_fiber_product, bigger, q, r, NAMES["z"]) == outcome(
+            oracle_is_fiber_product, bigger, q, r, NAMES["z"]
+        )
+
+    def test_fiber_product_is_byte_identical(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            _, q, r = rand_triple(rng)
+            over = shuffled(rng, NAMES["z"])
+            got, want = fiber_product(q, r, over), oracle_fiber_product(q, r, over)
+            assert got.layout == want.layout
+            assert list(got.weights.items()) == list(want.weights.items())
+            assert repr(got) == repr(want)
+
+    def test_fiber_product_mismatch_matches(self):
+        rng = random.Random(37)
+        _, q, _ = rand_triple(rng)
+        _, _, other_r = rand_triple(rng)
+        got = outcome(fiber_product, q, other_r, NAMES["z"])
+        assert got == outcome(oracle_fiber_product, q, other_r, NAMES["z"])
+
+    def test_factoring_needs_every_product_cell(self):
+        # the stored entry matches its product, but the cell ("1", "0") is missing;
+        # on rows that each sum to one this cannot happen, so test the helper alone
+        first, second = itemgetter(slice(0, 1)), itemgetter(slice(1, 2))
+        x_row, y_row = {("0",): HALF, ("1",): HALF}, {("0",): Fraction(1)}
+        assert not fiber_module._factors({("0", "0"): HALF}, x_row, y_row, first, second)
+        assert fiber_module._factors({("0", "0"): HALF, ("1", "0"): HALF}, x_row, y_row, first, second)
+        assert not fiber_module._factors({("0", "0"): HALF, ("1", "0"): QUARTER}, x_row, y_row, first, second)
+
+    def test_check_all_in_model_order_reorders_nothing(self, monkeypatch):
+        permutations = []
+        calls = []
+
+        def recording_reorder(p, names):
+            calls.append(names)
+            if tuple(names) != p.layout.names:
+                permutations.append((p.layout.names, tuple(names)))
+            return reorder(p, names)
+
+        monkeypatch.setattr(fiber_module, "reorder", recording_reorder)
+        rng = random.Random(41)
+        models = [rand_hv_mixed(rng) for _ in range(40)] + [pr_box_hv(), fair_coin_product_model()]
+        for model in models:
+            assert model.measure.layout.names == HV_COORDS
+            check_all(model)
+        assert calls, "is_fiber_product no longer calls reorder; the test checks nothing"
+        assert permutations == []

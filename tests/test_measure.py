@@ -1,5 +1,6 @@
 """Measures, marginals, conditionals, products, and their exact identities."""
 
+import dataclasses
 import random
 import sys
 import threading
@@ -19,6 +20,7 @@ from hvkit.measure import (
     FiniteMeasure,
     FiniteSpace,
     ProductLayout,
+    _join_labels,
     conditional,
     fuse_factors,
     marginal,
@@ -313,6 +315,34 @@ class TestReorderAndFuse:
         # mass per fused label matches the pair it came from
         for (c0, c1, c2), w in p.weights.items():
             assert fused.weight((c0, f"{c1}|{c2}")) == w
+
+    def test_fuse_gives_distinct_combinations_distinct_labels(self):
+        # plain joining would label both ("a|b", "c") and ("a", "b|c") "a|b|c"
+        layout = ProductLayout(
+            (FiniteSpace("c0", ("a|b", "a", "x\\")), FiniteSpace("c1", ("c", "b|c", "\\|y")))
+        )
+        atoms = list(layout.atoms())
+        p = FiniteMeasure(layout, {atom: Fraction(1, len(atoms)) for atom in atoms})
+        fused = fuse_factors(p, ("c0", "c1"), "joint")
+        labels = fused.layout.space("joint").atoms
+        assert len(set(labels)) == len(atoms)
+        assert sorted(fused.weights) == sorted((label,) for label in labels)
+        assert labels[:2] == ("a\\|b|c", "a\\|b|b\\|c")
+
+    def test_join_labels_keeps_plain_labels_and_escapes_the_rest(self):
+        assert _join_labels(("0", "[0,1/2)", "l0")) == "0|[0,1/2)|l0"
+        assert _join_labels(("a|b", "c")) != _join_labels(("a", "b|c"))
+        assert _join_labels(("a\\", "b")) != _join_labels(("a", "\\b"))
+        assert _join_labels(("a\\|", "b")) == "a\\\\\\||b"
+
+    def test_layout_names_are_not_a_field(self):
+        layout = ProductLayout((FiniteSpace("c0", ("0", "1")), FiniteSpace("c1", ("0",))))
+        assert layout.names == ("c0", "c1")
+        assert [f.name for f in dataclasses.fields(ProductLayout)] == ["factors"]
+        assert repr(layout) == f"ProductLayout(factors={layout.factors!r})"
+        same = ProductLayout(layout.factors)
+        assert same == layout and hash(same) == hash(layout)
+        assert same.names is not layout.names and layout.names is layout.names
 
 
 class TestAlmostSureIdentities:

@@ -6,10 +6,12 @@ from itertools import product as cartesian
 
 import pytest
 
+import hvkit.realizability as realizability
 from hvkit.errors import DomainError, ResourceLimitError
 from hvkit.fixtures import pr_box, signaling_model, singlet_chsh_model
 from hvkit.measure import FiniteSpace, conditional, marginal
 from hvkit.models import EmpiricalModel, empirical_model
+from hvkit.quantumgen import singlet_model
 from hvkit.realizability import (
     chsh_value,
     enumerate_strategies,
@@ -285,3 +287,83 @@ class TestStrategyHVModel:
         assert marginal(model.measure, ("ya", "yb")).weights == marginal(
             e.measure, ("ya", "yb")
         ).weights
+
+
+def fraction_bound(functional, strategies, ya, yb, contexts):
+    """The classical bound as this package computed it before the integer sums:
+    a Fraction sum per strategy, maximized over every strategy."""
+    return max(
+        sum(
+            (
+                functional.get((s.outcomes_a[ya.index(c[0])], s.outcomes_b[yb.index(c[1])]) + c, Fraction(0))
+                for c in contexts
+            ),
+            Fraction(0),
+        )
+        for s in strategies
+    )
+
+
+class TestClassicalBound:
+    def bound_inputs(self, e):
+        ya, yb = e.space("ya"), e.space("yb")
+        strategies = enumerate_strategies(ya, yb, e.space("xa"), e.space("xb"))
+        return strategies, ya, yb, list(conditional(e.measure, ("xa", "xb"), ("ya", "yb")).given_atoms())
+
+    def test_correlator_variants(self):
+        rng = random.Random(7)
+        from randmodels import rand_empirical
+
+        models = [pr_box(), singlet_chsh_model()] + [rand_empirical(rng) for _ in range(30)]
+        checked = 0
+        for e in models:
+            kernel = realizability._behavior(e)
+            args = self.bound_inputs(e)
+            for functional in realizability._correlator_variants(e, kernel):
+                assert realizability._classical_bound(functional, *args) == fraction_bound(functional, *args) == 2
+                checked += 1
+        assert checked >= 80
+
+    def test_lp_dual_functionals(self, monkeypatch):
+        duals = []
+        original = realizability._infeasible_certificate
+
+        def capture(e, strategies, dual):
+            duals.append((e, dual))
+            return original(e, strategies, dual)
+
+        monkeypatch.setattr(realizability, "_infeasible_certificate", capture)
+        rng = random.Random(11)
+        models = [signaling_model().empirical(), singlet_model((0, 60, 120), (30, 90, 150))]
+        models += [rand_signaling(rng) for _ in range(12)]
+        for e in models:
+            local_hvm_exists(e)
+        assert len(duals) >= 8
+        for e, dual in duals:
+            strategies, ya, yb, contexts = args = self.bound_inputs(e)
+            rows = [(oa, ob) + c for c in contexts for oa in e.space("xa").atoms for ob in e.space("xb").atoms]
+            raw = dict(zip(rows, dual))
+            for functional in (raw, realizability._primitive_integer_scaling(raw)):
+                assert realizability._classical_bound(functional, *args) == fraction_bound(functional, *args)
+
+    def test_rational_coefficients(self):
+        rng = random.Random(13)
+        e = singlet_model((0, 45, 90), (30, 75))
+        strategies, ya, yb, contexts = args = self.bound_inputs(e)
+        rows = [(oa, ob) + c for c in contexts for oa in e.space("xa").atoms for ob in e.space("xb").atoms]
+        for _ in range(20):
+            functional = {row: Fraction(rng.randint(-50, 50), rng.randint(1, 40)) for row in rows}
+            bound = realizability._classical_bound(functional, *args)
+            assert bound == fraction_bound(functional, *args)
+        assert realizability._classical_bound({}, *args) == 0
+
+
+def rand_signaling(rng):
+    """A random 2x2 model whose outcomes depend on the other party's setting, usually nonlocal."""
+    weights = {}
+    for ya, yb in cartesian(BITS, BITS):
+        dist = rand_dist(rng, list(cartesian(BITS, BITS)), zero_chance=0.5)
+        for (xa, xb), w in dist.items():
+            if w:
+                weights[(xa, xb, ya, yb)] = w / 4
+    return empirical_model(BITS, BITS, BITS, BITS, weights)
