@@ -7,7 +7,6 @@ polytope membership solver with its certificates.
 """
 
 from .determinize import (
-    IntervalPartition,
     RefinedCellSpace,
     determinize_empirical,
     determinize_local,

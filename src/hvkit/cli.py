@@ -23,7 +23,10 @@ Under ``--json`` a failed ``determinize --method local`` precondition is
 the failing property's report as ``check`` gives it, or null}.
 ``generate`` refuses a non-finite angle, and more than
 ``hvkit.quantumgen.MAX_SINGLET_ATOMS`` = 40,000 atoms (|angles_a| x
-|angles_b| x 4), before it writes ``--out``.
+|angles_b| x 4), before it writes ``--out``.  ``determinize --method
+local`` refuses an output of more than
+``hvkit.determinize.MAX_DETERMINIZED_ATOMS`` = 100,000 atoms or hidden
+labels, before any fiber product is built and before it writes ``--out``.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ target atoms in canonical order on the inside, its assignment listing
 the target labels before the conditioning labels.  A conditional
 identity is decided row by row on the stored entries of the memoized
 conditionals, and only the first row that fails is searched cell by cell
-through :func:`_first_violation` for the witness.  Products are compared
+through :func:`_first_violation` for the witness, over the target atoms
+where either side can be positive.  Products are compared
 as integer cross-products of numerators and denominators, and a
 ``Fraction`` product is formed only for a witness's right side.  The
 zero-one test reads ``v == 1`` on stored entries, which are positive.
@@ -31,7 +32,7 @@ from operator import itemgetter, mul
 
 from .errors import InternalCheckError
 from .fiber import _factors, is_fiber_product
-from .measure import conditional, marginal, measures_equal, product
+from .measure import _canonical_key, conditional, marginal, measures_equal, product
 from .models import HVModel, LAM, XA, XB, YA, YB
 
 
@@ -99,17 +100,20 @@ def _first_violation(coords, givens, targets, lhs, rhs) -> Witness | None:
     return None
 
 
-def _kernel_violation(p: HVModel, kernel, row_holds, rhs) -> Witness | None:
+def _kernel_violation(p: HVModel, kernel, row_holds, rhs, support) -> Witness | None:
     """First violation of ``kernel.value == rhs`` over every atom of the kernel.
 
     ``row_holds(given, row)`` decides the identity on a whole row from its
     stored entries.  Only the first row it rejects is searched cell by
-    cell for the witness, and that row must hold one.
+    cell for the witness, and that row must hold one.  The search walks
+    ``support(given, row)`` in canonical order: the target atoms off
+    which both sides are zero.
     """
     coords = kernel.target_coords + kernel.given_coords
-    targets = tuple(p.measure.layout.sublayout(kernel.target_coords).atoms())
+    key = _canonical_key(tuple(map(p.measure.layout.space, kernel.target_coords)))
     for given, row in kernel.table.items():
         if not row_holds(given, row):
+            targets = sorted(support(given, row), key=key)
             witness = _first_violation(coords, (given,), targets, kernel.value, rhs)
             if witness is None:
                 raise InternalCheckError(f"row {given!r} of {kernel.target_coords} fails, yet no cell differs")
@@ -124,13 +128,18 @@ def _product_violation(p: HVModel, kernel, k_a, k_b, a_given, b_given) -> Witnes
         kernel,
         lambda g, row: _factors(row, k_a.row(a_given(g)), k_b.row(b_given(g)), _XA_PART, _XB_PART),
         lambda g, t: (k_a.value(a_given(g), _XA_PART(t)), k_b.value(b_given(g), _XB_PART(t))),
+        lambda g, row: set(row).union(x + y for x in k_a.row(a_given(g)) for y in k_b.row(b_given(g))),
     )
 
 
 def _own_setting_violation(p: HVModel, k_both, k_own, own) -> Witness | None:
     """First violation of k_both(x | g) == k_own(x | own(g)); rows compare entry for entry."""
     return _kernel_violation(
-        p, k_both, lambda g, row: row == k_own.row(own(g)), lambda g, t: (k_own.value(own(g), t),)
+        p,
+        k_both,
+        lambda g, row: row == k_own.row(own(g)),
+        lambda g, t: (k_own.value(own(g), t),),
+        lambda g, row: set(row).union(k_own.row(own(g))),
     )
 
 
@@ -223,8 +232,10 @@ def check_lambda_independence(p: HVModel) -> PropertyReport:
     p_y, p_lam = marginal(r, (YA, YB)), marginal(r, (LAM,))
 
     # atomwise factorization; positive atoms suffice for the verdict
-    # (matching on the support forces the zero atoms to match by mass),
-    # but a failing witness is searched in full canonical layout order.
+    # (matching on the support forces the zero atoms to match by mass).
+    # A failing witness is the first violation in canonical layout order;
+    # off supp(p_y) x supp(p_lam) both sides are zero, and on it every atom
+    # before the first violation is positive, so the walk is short.
     def factors(atom):
         return p_y.weight(atom[:2]), p_lam.weight(atom[2:])
 
@@ -232,7 +243,11 @@ def check_lambda_independence(p: HVModel) -> PropertyReport:
     witness = None
     if not factorizes:
         witness = _first_violation(
-            (YA, YB, LAM), r.layout.atoms(), ((),), lambda atom, _: r.weight(atom), lambda atom, _: factors(atom)
+            (YA, YB, LAM),
+            (y + lam for y in p_y.weights for lam in p_lam.weights),
+            ((),),
+            lambda atom, _: r.weight(atom),
+            lambda atom, _: factors(atom),
         )
 
     via_product = measures_equal(r, product(p_y, p_lam))

@@ -66,7 +66,13 @@ def singlet_joint_probabilities(angle_a_deg: float, angle_b_deg: float) -> dict[
 
 
 def _angle_label(angle: float) -> str:
-    return f"{angle:g}"
+    """``f"{angle:g}"`` when it reads back as the angle, else ``repr(angle)``.
+
+    Either way the label reads back as the angle, so distinct angles get
+    distinct labels.
+    """
+    label = f"{angle:g}"
+    return label if float(label) == angle else repr(angle)
 
 
 def _rationalize_block(block: dict[tuple[str, str], float], max_denominator: int) -> dict[tuple[str, str], Fraction]:

@@ -219,6 +219,15 @@ class TestGenerateAndChsh:
         assert model.measure.weight(("up", "down", "0", "0")) == Fraction(1, 2)
         assert model.measure.weight(("up", "up", "0", "0")) == 0
 
+    def test_generate_angles_equal_under_short_format(self, tmp_path):
+        out_file = tmp_path / "close.json"
+        code = run_cli(
+            "generate", "singlet", "--angles-a", "10,10.0000001", "--angles-b", "0",
+            "--out", str(out_file),
+        )
+        assert code == 0
+        assert load_model_file(str(out_file)).space("ya").atoms == ("10", "10.0000001")
+
     def test_generate_uniform(self, tmp_path):
         out_file = tmp_path / "uniform.json"
         run_cli("generate", "singlet", "--angles-a", "0", "--angles-b", "90",

@@ -1,11 +1,17 @@
 """The three determinization constructions and the interval machinery."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as cartesian
 
 import pytest
 
+import hvkit.determinize
+from hvkit.cli import main, save_model_file
 from hvkit.determinize import (
+    MAX_DETERMINIZED_ATOMS,
+    _interval_side,
     determinize_empirical,
     determinize_local,
     interval_partition,
@@ -13,19 +19,117 @@ from hvkit.determinize import (
     refined_cells,
     trivial_hv,
 )
-from hvkit.errors import PreconditionError
+from hvkit.errors import PreconditionError, ResourceLimitError
 from hvkit.fixtures import fair_coin_product_model, pr_box, pr_box_hv
-from hvkit.measure import marginal
-from hvkit.models import empirical_model, equivalent, hv_model, realizes
+from hvkit.measure import FiniteMeasure, FiniteSpace, ProductLayout, conditional, marginal
+from hvkit.models import LAM, empirical_model, equivalent, hv_model, realizes
 from hvkit.properties import (
     HVProperty,
     check_lambda_independence,
     check_strong_determinism,
 )
-from randmodels import rand_empirical, rand_local_lambda_indep
+from randmodels import rand_dist, rand_empirical, rand_local_lambda_indep
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
+
+
+@dataclass(frozen=True)
+class Interval:
+    """A half-open subinterval [lo, hi) of the unit interval; a partition's last one is closed."""
+
+    outcome: str | None
+    lo: Fraction
+    hi: Fraction
+
+    @property
+    def length(self) -> Fraction:
+        return self.hi - self.lo
+
+    def contains_interval(self, lo: Fraction, hi: Fraction) -> bool:
+        return self.lo <= lo and hi <= self.hi
+
+    def label(self, last: bool) -> str:
+        close = "]" if last else ")"
+        return f"[{self.lo},{self.hi}{close}"
+
+
+def oracle_interval_side(p, party):
+    """Reference for ``_interval_side``: one party's cell lengths and coupling
+    built from interval objects, each cell's outcome found by a containment scan."""
+    outcome_coord, setting_coord = {"a": ("xa", "ya"), "b": ("xb", "yb")}[party]
+    kernel = conditional(p.measure, (outcome_coord,), (setting_coord, LAM))
+    rows = {}
+    for given in kernel.given_atoms():
+        row = kernel.row(given)
+        intervals, cumulative = [], Fraction(0)
+        for outcome in p.space(outcome_coord).atoms:
+            weight = row.get((outcome,), Fraction(0))
+            intervals.append(Interval(outcome, cumulative, cumulative + weight))
+            cumulative += weight
+        rows[given] = tuple(intervals)
+    ordered = sorted({Fraction(0), Fraction(1)} | {i.hi for row in rows.values() for i in row})
+    cells = [Interval(None, lo, hi) for lo, hi in zip(ordered, ordered[1:])]
+    labels = tuple(c.label(i == len(cells) - 1) for i, c in enumerate(cells))
+    cell_space = FiniteSpace(f"cell_{party}", labels)
+    lengths = FiniteMeasure(ProductLayout((cell_space,)), {(lbl,): c.length for lbl, c in zip(labels, cells)})
+
+    setting_lam_mass = marginal(p.measure, (setting_coord, LAM))
+    weights = {}
+    for given, intervals in rows.items():
+        mass = setting_lam_mass.weight(given)
+        for interval in intervals:
+            if interval.length == 0:
+                continue
+            for label, cell in zip(labels, cells):
+                if interval.contains_interval(cell.lo, cell.hi):
+                    weights[(interval.outcome,) + given + (label,)] = mass * cell.length
+    layout = ProductLayout((p.space(outcome_coord), p.space(setting_coord), p.space(LAM), cell_space))
+    return lengths, FiniteMeasure(layout, weights)
+
+
+def rand_sparse_local(rng):
+    """A local, lam-independent model with 1-3 settings and 2-4 outcomes per party.
+
+    Response weights are drawn from 0..3, so rows hold zero conditionals
+    and different rows often share endpoints.
+    """
+    ys = tuple(str(i) for i in range(rng.randint(1, 3)))
+    xs = tuple(str(i) for i in range(rng.randint(2, 4)))
+    lam = tuple(f"l{i}" for i in range(rng.randint(1, 4)))
+    lam_dist = rand_dist(rng, lam, max_num=3)
+    setting_dist = rand_dist(rng, list(cartesian(ys, ys)), zero_chance=0.2, max_num=3)
+    response = {
+        (party, y, l): rand_dist(rng, xs, zero_chance=0.3, max_num=3) for party in "ab" for y in ys for l in lam
+    }
+    weights = {}
+    for (ya, yb), l in cartesian(setting_dist, lam):
+        for xa, xb in cartesian(xs, xs):
+            w = setting_dist[(ya, yb)] * lam_dist[l] * response["a", ya, l][xa] * response["b", yb, l][xb]
+            if w:
+                weights[(xa, xb, ya, yb, l)] = w
+    return hv_model(xs, xs, ys, ys, lam, weights)
+
+
+def coin_mixture(a_zero, b_zero, idle_lam=0):
+    """One setting per party; under lam i Alice says 0 with probability
+    a_zero[i] and Bob with b_zero[i].  ``idle_lam`` more lam labels carry no mass."""
+    lam = tuple(f"l{i}" for i in range(len(a_zero) + idle_lam))
+    share = Fraction(1, len(a_zero))
+    weights = {}
+    for l, a, b in zip(lam, a_zero, b_zero):
+        for (xa, pa), (xb, pb) in cartesian((("0", a), ("1", 1 - a)), (("0", b), ("1", 1 - b))):
+            if pa * pb:
+                weights[(xa, xb, "y", "y", l)] = share * pa * pb
+    return hv_model("01", "01", ("y",), ("y",), lam, weights)
+
+
+class Unreached(Exception):
+    pass
+
+
+def unreached(*args, **kwargs):
+    raise Unreached
 
 
 class TestTrivialHV:
@@ -110,41 +214,41 @@ class TestIntervalPartition:
 
     def test_even_split(self):
         p = self.build((HALF, HALF))
-        rows = interval_partition(p, "a").rows
-        ((_, intervals),) = rows.items()
-        assert [(i.lo, i.hi) for i in intervals] == [(0, HALF), (HALF, 1)]
+        assert interval_partition(p, "a") == {("y", "l0"): (HALF, 1)}
 
     def test_degenerate_first_interval(self):
         p = self.build((Fraction(0), Fraction(1)))
-        ((_, intervals),) = interval_partition(p, "a").rows.items()
-        assert [(i.lo, i.hi) for i in intervals] == [(0, 0), (0, 1)]
+        ((_, ends),) = interval_partition(p, "a").items()
+        assert ends == (0, 1)
 
     def test_partial_sum_endpoints(self):
         p = self.build((THIRD, Fraction(1, 6), HALF))
-        ((_, intervals),) = interval_partition(p, "a").rows.items()
-        assert [i.hi for i in intervals] == [THIRD, HALF, Fraction(1)]
+        ((_, ends),) = interval_partition(p, "a").items()
+        assert ends == (THIRD, HALF, Fraction(1))
 
     def test_row_lengths_sum_to_one(self):
         rng = random.Random(2)
         for _ in range(20):
             p = rand_local_lambda_indep(rng)
             for party in "ab":
-                for intervals in interval_partition(p, party).rows.values():
-                    assert sum((i.length for i in intervals), Fraction(0)) == 1
+                for ends in interval_partition(p, party).values():
+                    assert list(ends) == sorted(ends)
+                    assert ends[-1] == 1
 
     def test_refinement_covers_every_row(self):
         rng = random.Random(3)
         for _ in range(20):
             p = rand_local_lambda_indep(rng)
-            partition = interval_partition(p, "a")
-            cells = refined_cells(partition)
-            assert sum(cells.lengths(), Fraction(0)) == 1
-            for intervals in partition.rows.values():
-                for interval in intervals:
-                    covered = [
-                        c for c in cells.cells if interval.contains_interval(c.lo, c.hi)
-                    ]
-                    assert sum((c.length for c in covered), Fraction(0)) == interval.length
+            rows = interval_partition(p, "a")
+            cells = refined_cells("a", rows).cells
+            # consecutive positive-length cells from 0 to 1
+            assert cells[0][0] == 0 and cells[-1][1] == 1
+            assert all(lo < hi for lo, hi in cells)
+            assert all(a[1] == b[0] for a, b in zip(cells, cells[1:]))
+            # every row endpoint is a cell boundary
+            boundaries = {hi for _, hi in cells}
+            for ends in rows.values():
+                assert set(ends) - {Fraction(0)} <= boundaries
 
 
 class TestDeterminizeLocal:
@@ -186,9 +290,8 @@ class TestDeterminizeLocal:
                 weights[("0", "0", ya, yb, "l0")] = flip / 4
                 weights[("1", "0", ya, yb, "l0")] = (1 - flip) / 4
         p = hv_model("01", "01", "01", "01", ("l0",), weights)
-        partition = interval_partition(p, "a")
-        cells = refined_cells(partition)
-        assert [c.lo for c in cells.cells] + [Fraction(1)] == [
+        cells = refined_cells("a", interval_partition(p, "a"))
+        assert [lo for lo, _ in cells.cells] + [Fraction(1)] == [
             Fraction(0), THIRD, Fraction(2, 3), Fraction(1),
         ]
         out = determinize_local(p)
@@ -231,3 +334,63 @@ class TestDeterminizeLocal:
                 key = (xa, ya, lam)
                 collapsed[key] = collapsed.get(key, Fraction(0)) + w
             assert collapsed == dict(marginal(p.measure, ("xa", "ya", "lam")).weights)
+
+
+class TestEndpointOracle:
+    def test_interval_side_matches_interval_objects(self):
+        rng = random.Random(6)
+        zero_conditionals = shared_endpoints = 0
+        for _ in range(200):
+            p = rand_sparse_local(rng)
+            for party in "ab":
+                rows = interval_partition(p, party)
+                lengths, coupling = _interval_side(p, rows, refined_cells(party, rows))
+                want_lengths, want_coupling = oracle_interval_side(p, party)
+                assert lengths == want_lengths
+                assert coupling.layout == want_coupling.layout
+                assert list(coupling.weights.items()) == list(want_coupling.weights.items())
+                zero_conditionals += any(a == b for ends in rows.values() for a, b in zip((0,) + ends, ends))
+                inner = [set(ends) - {0, 1} for ends in rows.values()]
+                shared_endpoints += any(a & b for i, a in enumerate(inner) for b in inner[i + 1:])
+        # the suite exercises both cases the endpoint lookup must get right
+        assert zero_conditionals > 50 and shared_endpoints > 50
+
+
+class TestOutputCap:
+    """Over MAX_DETERMINIZED_ATOMS atoms or hidden labels, nothing is built."""
+
+    def atoms_model(self, lam_count):
+        # 39 distinct inner endpoints for Alice and 49 for Bob: 40 x 50 cells
+        a = [Fraction(i % 39 + 1, 40) for i in range(lam_count)]
+        b = [Fraction(i % 49 + 1, 50) for i in range(lam_count)]
+        return coin_mixture(a, b)
+
+    def test_atom_count(self, monkeypatch):
+        monkeypatch.setattr(hvkit.determinize, "fiber_product", unreached)
+        lam_count = MAX_DETERMINIZED_ATOMS // (40 * 50)
+        assert lam_count * 40 * 50 == MAX_DETERMINIZED_ATOMS
+        with pytest.raises(Unreached):
+            determinize_local(self.atoms_model(lam_count))
+        over = lam_count + 1
+        with pytest.raises(ResourceLimitError, match=f"{over * 40 * 50} atoms .* MAX_DETERMINIZED_ATOMS"):
+            determinize_local(self.atoms_model(over))
+
+    def test_hidden_label_count(self, monkeypatch):
+        # deterministic, so one cell per party; idle lam labels still get one each
+        monkeypatch.setattr(hvkit.determinize, "fiber_product", unreached)
+        with pytest.raises(Unreached):
+            determinize_local(coin_mixture([1], [1], idle_lam=MAX_DETERMINIZED_ATOMS - 1))
+        over = MAX_DETERMINIZED_ATOMS + 1
+        with pytest.raises(ResourceLimitError, match=f"{over} hidden labels"):
+            determinize_local(coin_mixture([1], [1], idle_lam=MAX_DETERMINIZED_ATOMS))
+
+    def test_cli_refusal_is_one_line(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(hvkit.determinize, "fiber_product", unreached)
+        path, out_file = tmp_path / "big.json", tmp_path / "out.json"
+        save_model_file(self.atoms_model(MAX_DETERMINIZED_ATOMS // (40 * 50) + 1), str(path))
+        code = main(["determinize", str(path), "--method", "local", "--out", str(out_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out_file.exists()

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -357,3 +358,55 @@ class TestCrossChecksWired:
         monkeypatch.setattr("hvkit.properties.measures_equal", lambda *args: not verdict)
         with pytest.raises(InternalCheckError):
             check_lambda_independence(model)
+
+
+def _labels(n):
+    return tuple(str(i) for i in range(n))
+
+
+class TestSparseWitnessSearch:
+    """Witness searches walk the support, not every label combination.
+
+    Each model is sparse over large label sets; walking the full products
+    took from seconds to minutes.  The witnesses are the ones the full
+    canonical-order search finds.
+    """
+
+    BUDGET_S = 5.0
+
+    def timed(self, fn, model):
+        started = time.monotonic()
+        result = fn(model)
+        assert time.monotonic() - started < self.BUDGET_S
+        return result
+
+    def test_lambda_witness_over_400_labels_per_coordinate(self):
+        n = _labels(400)
+        model = hv_model(
+            ("0",), ("0",), n, n, n,
+            {("0", "0", "398", "399", "398"): HALF, ("0", "0", "399", "398", "399"): HALF},
+        )
+        report = self.timed(check_lambda_independence, model)
+        assert report_line(report) == "lambda fails ya=398,yb=399,lam=398 1/2 1/4"
+
+    def test_all_hold_over_2000_outcomes_per_party(self):
+        x = _labels(2000)
+        model = hv_model(x, x, ("0",), ("0",), ("l0",), {("1999", "1999", "0", "0", "l0"): Fraction(1)})
+        assert all(report.holds for report in self.timed(check_all, model))
+
+    def test_signaling_witnesses_over_2000_outcomes_per_party(self):
+        # Alice's outcome follows Bob's setting
+        x = _labels(2000)
+        weights = {
+            ("1999" if yb == "0" else "1998", "1999", ya, yb, "l0"): QUARTER for ya in "01" for yb in "01"
+        }
+        model = hv_model(x, x, "01", "01", ("l0",), weights)
+        lines = tuple(report_line(r) for r in self.timed(check_all, model))
+        assert lines == (
+            "locality fails xa=1998,xb=1999,ya=0,yb=0,lam=l0 0 1/2",
+            "pi fails xa=1998,ya=0,yb=0,lam=l0 0 1/2",
+            "oi holds",
+            "lambda holds",
+            "weakdet holds",
+            "strongdet fails xa=1998,ya=0,lam=l0 1/2 1/4",
+        )

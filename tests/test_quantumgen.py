@@ -116,6 +116,13 @@ class TestSingletModel:
         with pytest.raises(DomainError):
             singlet_model((0.0,), (0.0,), setting_dist={("0", "0"): HALF})
 
+    def test_angles_equal_under_short_format_keep_distinct_labels(self):
+        # both angles print as "10" under :g; the second falls back to repr
+        e = singlet_model((10.0, 10.0000001), (0.0,))
+        assert e.space("ya").atoms == ("10", "10.0000001")
+        with pytest.raises(DomainError, match="distinct"):
+            singlet_model((10.0, 10.0), (0.0,))
+
 
 class Unreached(Exception):
     pass
