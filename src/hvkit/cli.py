@@ -16,8 +16,9 @@ alone writes them: the payload under ``--json``, otherwise the lines.
 
 Exit codes: 0 success / all selected properties hold / feasible;
 1 a property fails, a precondition fails, or the model is infeasible;
-2 bad input (usage error, parse error, domain error, resource cap), always
-as one "error: ..." line on stderr; ``-h`` still prints help and exits 0.
+2 bad input (usage error, parse error, domain error, resource cap) or a
+standard output closed before the result was written, always as one
+"error: ..." line on stderr; ``-h`` still prints help and exits 0.
 Under ``--json`` a failed ``determinize --method local`` precondition is
 {"command": "determinize", "precondition_failed": message, "report":
 the failing property's report as ``check`` gives it, or null}.
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -303,9 +305,12 @@ def cmd_verify(args) -> Result:
         # its fiber-product characterization and raises on disagreement
         for report in check_all(model):
             lines.append(f"cross-check {report.property.value}: consistent (holds={report.holds})")
-        # lam's marginal taken through Alice's (xa, ya, lam) marginal and taken directly
+        # lam's marginal taken through Alice's (xa, ya, lam) marginal and taken
+        # directly; the chain runs on a copy with no memo and no root, so it
+        # cannot hand back the direct side's memoized result
         m = model.measure
-        nested = measures_equal(marginal(marginal(m, (XA, YA, LAM)), (LAM,)), marginal(m, (LAM,)))
+        copy = FiniteMeasure(m.layout, dict(m.weights))
+        nested = measures_equal(marginal(marginal(copy, (XA, YA, LAM)), (LAM,)), marginal(m, (LAM,)))
         lines.append(f"cross-check nested marginals: {'consistent' if nested else 'INCONSISTENT'}")
         ok = ok and nested
     else:
@@ -401,11 +406,19 @@ def main(argv=None) -> int:
         message = str(exc).replace("\n", "\\n")
         print(f"error: {message}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # whatever is still buffered goes to the null device, so the flush
+        # at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before the result was written", file=sys.stderr)
+        return 2
     return code
 
 

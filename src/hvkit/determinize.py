@@ -6,7 +6,7 @@ Three constructions live here:
   realization that is trivially independent of the settings.
 * :func:`determinize_empirical` realizes any empirical model by a
   strongly deterministic one whose hidden space is a tagged copy of the
-  joint outcome space.
+  support of the joint outcome marginal.
 * :func:`determinize_local` turns any local, setting-independent model
   into an equivalent strongly deterministic, setting-independent one by
   splitting each party's unit interval of randomness into subintervals
@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product as cartesian
+from itertools import accumulate
 from typing import Mapping
 
 from .errors import InternalCheckError, PreconditionError, ResourceLimitError
@@ -98,21 +98,19 @@ def trivial_hv(e: EmpiricalModel) -> HVModel:
 
 
 def joint_outcome_tags(e: EmpiricalModel) -> tuple[str, ...]:
-    """Hidden-space labels: one tagged copy of each joint outcome pair."""
-    xa_atoms = e.space(XA).atoms
-    xb_atoms = e.space(XB).atoms
-    return tuple(map(_join_labels, cartesian(xa_atoms, xb_atoms)))
+    """Hidden-space labels: a tagged copy of each positive-mass joint outcome pair, in canonical order."""
+    return tuple(map(_join_labels, marginal(e.measure, (XA, XB)).weights))
 
 
 def determinize_empirical(e: EmpiricalModel) -> HVModel:
     """A strongly deterministic realization whose hidden space copies the outcomes.
 
-    The hidden coordinate carries a tagged copy of the joint outcome
-    space; a diagonal coupling forces outcome and tag to coincide, and
-    the fiber product with e over the outcomes reattaches the settings.
-    The result realizes e, and each party's outcome is a function of the
-    tag alone -- at the price of the hidden variable generally becoming
-    correlated with the settings.
+    The hidden coordinate carries a tagged copy of each joint outcome
+    pair of positive mass; a diagonal coupling forces outcome and tag to
+    coincide, and the fiber product with e over the outcomes reattaches
+    the settings.  The result realizes e, and each party's outcome is a
+    function of the tag alone -- at the price of the hidden variable
+    generally becoming correlated with the settings.
     """
     outcome_dist = marginal(e.measure, (XA, XB))
     tags = joint_outcome_tags(e)

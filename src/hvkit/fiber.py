@@ -8,7 +8,9 @@ shared marginal.
 
 :func:`is_fiber_product` recognizes a fiber product by three readings,
 all on conditionals in the extension's own coordinate order, so on the
-extension they are the kernels its memo already holds.  The two
+extension they are the kernels its memo already holds.  When the
+extension is a marginal of a model, those are the model's own kernels:
+a marginal shares its root's memo (see :mod:`hvkit.measure`).  The two
 factoring readings compare integer cross-products of the stored entries
 and the collapse reading compares rows entry for entry; no ``Fraction``
 is built.  Neither function reorders a measure whose coordinates already
@@ -23,6 +25,7 @@ from .errors import InternalCheckError, LayoutError, PreconditionError
 from .measure import (
     FiniteMeasure,
     ProductLayout,
+    _canonical_key,
     _derived,
     _projector,
     conditional,
@@ -57,7 +60,9 @@ def _check_shared_marginal(q: FiniteMeasure, r: FiniteMeasure, z_names) -> Finit
     s_q = marginal(q, z_names)
     s_r = reorder(marginal(r, z_names), s_q.layout.names)
     if not measures_equal(s_q, s_r):
-        for atom in s_q.layout.atoms():
+        # off both supports the two sides are zero, so the first differing
+        # atom in canonical order lies in their union
+        for atom in sorted(s_q.weights.keys() | s_r.weights.keys(), key=_canonical_key(s_q.layout.factors)):
             if s_q.weight(atom) != s_r.weight(atom):
                 raise PreconditionError(
                     f"marginals on {z_names} differ, first at atom {atom!r}: "

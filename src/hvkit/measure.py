@@ -31,7 +31,22 @@ measure is formed, so each sum's denominator stays as small as the
 Each measure memoizes the results of :func:`marginal` and
 :func:`conditional` taken on it, keyed by the function and its
 coordinate arguments as given, so a repeated call returns the first
-result.
+result.  A marginal also holds a weak reference to its root: the
+measure it was taken on, or that measure's root when it is itself a
+marginal.  :func:`reorder`, :func:`product`, :func:`fuse_factors` and
+the fiber product give their results no root.  A marginal q keeps its
+root's coordinate order and spaces, so for coordinates inside q,
+``marginal(q, B)`` equals ``marginal(root, B)`` and ``conditional(q, T,
+G)`` equals ``conditional(root, T, G)``, row for row and in the same
+canonical order.  On a miss, q therefore hands back the root's entry
+when every coordinate asked for is one of q's own and the root holds
+that key; otherwise it computes on itself, the smaller measure, and
+stores the result in the root's memo as well, so each kernel of a
+model is built once however it is reached.  A coordinate q lacks is
+never looked up in the root: the call computes on q and raises the
+same ``LayoutError`` as it would with no root.  The reference is weak
+because the root's memo holds its marginals, so a strong one would be a
+cycle; once the root is freed, q computes on itself.
 
 All types are immutable after construction and all operations are pure,
 so values can be shared freely between threads.  The memo is safe under
@@ -43,9 +58,10 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as cartesian
+from itertools import chain, product as cartesian
 from operator import contains, getitem, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -180,8 +196,9 @@ class FiniteMeasure:
 
     The weight map is normalized at construction: float weights are
     rejected, zero entries are dropped, and the support is stored in
-    canonical atom order.  The memo of marginals and conditionals is not
-    a field, so equality and repr ignore it.
+    canonical atom order.  The memo of marginals and conditionals and
+    the weak reference to a marginal's root (see the module docstring)
+    are not fields, so equality and repr ignore them.
     """
 
     layout: ProductLayout
@@ -205,6 +222,7 @@ class FiniteMeasure:
         _check_sum(cleaned.values())
         object.__setattr__(self, "weights", _canonical(self.layout, cleaned))
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_root", None)
 
     def weight(self, atom: Atom) -> Fraction:
         return self.weights.get(tuple(atom), ZERO)
@@ -319,17 +337,32 @@ def _derived(layout: ProductLayout, weights: dict[Atom, Fraction], canonical: bo
     object.__setattr__(p, "layout", layout)
     object.__setattr__(p, "weights", weights)
     object.__setattr__(p, "_memo", {})
+    object.__setattr__(p, "_root", None)
     return p
 
 
+def _live_root(p: FiniteMeasure) -> FiniteMeasure | None:
+    """The root of a marginal while it is alive, else None."""
+    return None if p._root is None else p._root()
+
+
 def _memoized(fn):
-    """Cache ``fn(p, *coords)`` on ``p``; a call that raises caches nothing."""
+    """Cache ``fn(p, *coords)`` on ``p`` and on its root; a call that raises caches nothing.
+
+    See the module docstring for the order of lookups on a miss.
+    """
 
     @functools.wraps(fn)
     def cached(p: FiniteMeasure, *coords):
         key = (fn.__name__,) + tuple(map(tuple, coords))
         if key not in p._memo:
-            p._memo[key] = fn(p, *key[1:])
+            root = _live_root(p)
+            if root is None or not set(chain.from_iterable(key[1:])).issubset(p.layout.names):
+                p._memo[key] = fn(p, *key[1:])
+            elif key in root._memo:
+                p._memo[key] = root._memo[key]
+            else:
+                p._memo[key] = root._memo.setdefault(key, fn(p, *key[1:]))
         return p._memo[key]
 
     return cached
@@ -347,7 +380,9 @@ def marginal(p: FiniteMeasure, coords: Iterable[str]) -> FiniteMeasure:
         key: ws[0] if len(ws) == 1 else Fraction(*_exact_sum([w.as_integer_ratio() for w in ws]))
         for key, ws in bins.items()
     }
-    return _derived(p.layout.sublayout(names), weights)
+    q = _derived(p.layout.sublayout(names), weights)
+    object.__setattr__(q, "_root", weakref.ref(_live_root(p) or p))
+    return q
 
 
 @_memoized

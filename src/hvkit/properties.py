@@ -14,7 +14,12 @@ differ, the conditioning atoms in canonical order on the outside and the
 target atoms in canonical order on the inside, its assignment listing
 the target labels before the conditioning labels.  A conditional
 identity is decided row by row on the stored entries of the memoized
-conditionals, and only the first row that fails is searched cell by cell
+conditionals of the model, which the fiber identities read too: they
+take conditionals on the model's marginals, and a marginal shares its
+root's memo.  Each fiber identity is decided once per model and its
+verdict kept in the model's memo, so :func:`check_all` evaluates each
+once while every checker still compares its equation against it.  Only
+the first row that fails is searched cell by cell
 through :func:`_first_violation` for the witness, over the target atoms
 where either side can be positive.  Products are compared
 as integer cross-products of numerators and denominators, and a
@@ -27,7 +32,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import reduce, wraps
 from operator import itemgetter, mul
 
 from .errors import InternalCheckError
@@ -164,12 +169,31 @@ def _assert_agreement(prop: HVProperty, **readings: bool) -> None:
         raise InternalCheckError(f"{prop.value}: readings disagree: {verdicts}")
 
 
+def _once_per_measure(identity):
+    """Cache the verdict ``identity(m)`` in ``m``'s memo, so check_all decides each identity once.
+
+    The verdict is about ``m`` alone, so unlike a kernel it is never
+    shared with the root of a marginal.
+    """
+
+    @wraps(identity)
+    def cached(m) -> bool:
+        key = (identity.__name__,)
+        if key not in m._memo:
+            m._memo[key] = identity(m)
+        return m._memo[key]
+
+    return cached
+
+
+@_once_per_measure
 def _outcome_fiber(m) -> bool:
     """Outcome independence as a fiber identity: m = p_a x_(ya, yb, lam) p_b."""
     p_a, p_b = marginal(m, (XA, YA, YB, LAM)), marginal(m, (XB, YA, YB, LAM))
     return is_fiber_product(m, p_a, p_b, (YA, YB, LAM))
 
 
+@_once_per_measure
 def _parameter_fibers(m) -> bool:
     """Parameter independence as fiber identities: p_a = q_a x_(ya, lam) r, p_b = q_b x_(yb, lam) r."""
     p_a, p_b = marginal(m, (XA, YA, YB, LAM)), marginal(m, (XB, YA, YB, LAM))

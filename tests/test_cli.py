@@ -471,17 +471,54 @@ class TestVerifyCommand:
         assert run_cli("verify", str(FIXTURE_DIR / name)) == 0
         assert "consistent" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", sorted(n for n in FIXTURE_FILES if n.endswith("_hv.json")))
+    def test_nested_marginals_compare_distinct_measures(self, name, monkeypatch, capsys):
+        # after check_all, the memo of the model holds lam's marginal; the
+        # nested chain must not hand that same object back
+        compared = []
+        real = hvkit.cli.measures_equal
+
+        def recording(p, q):
+            compared.append((p, q))
+            return real(p, q)
+
+        monkeypatch.setattr(hvkit.cli, "measures_equal", recording)
+        assert run_cli("verify", str(FIXTURE_DIR / name)) == 0
+        assert "cross-check nested marginals: consistent" in capsys.readouterr().out
+        [(nested, direct)] = compared
+        assert nested is not direct
+        assert nested == direct
+
+
+def checkout_env():
+    """The environment for a child process that imports hvkit from this checkout, installed or not."""
+    env = dict(os.environ)
+    src = str(FIXTURE_DIR.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
 
 class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):
-        env = dict(os.environ)
-        # the child process imports hvkit from this checkout, installed or not
-        src = str(FIXTURE_DIR.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         result = subprocess.run(
             [sys.executable, "-m", "hvkit", "check",
              str(FIXTURE_DIR / "pr_box_singleton_hv.json"), "--property", "locality"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=checkout_env(),
         )
         assert result.returncode == 1
         assert "locality: FAILS" in result.stdout
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+    def test_closed_stdout_ends_in_one_line(self, flags):
+        # the read end is closed before the child starts, so its first write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "hvkit", *flags, "check", str(FIXTURE_DIR / "signaling_hv.json")],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=checkout_env(),
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1

@@ -1,6 +1,7 @@
 """The three determinization constructions and the interval machinery."""
 
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian
@@ -185,7 +186,10 @@ class TestDeterminizeEmpirical:
         for _ in range(20):
             e = rand_empirical(rng)
             p = determinize_empirical(e)
-            assert p.space("lam").atoms == ("0|0", "0|1", "1|0", "1|1")
+            # one tag per outcome pair of positive mass, in canonical order
+            positive = marginal(e.measure, ("xa", "xb")).weights
+            tags = tuple(f"{xa}|{xb}" for xa, xb in cartesian("01", "01") if (xa, xb) in positive)
+            assert p.space("lam").atoms == tags
             assert realizes(p, e)
             assert check_strong_determinism(p).holds
 
@@ -199,6 +203,20 @@ class TestDeterminizeEmpirical:
         tags = p.space("lam").atoms
         assert len(set(tags)) == 4
         assert tags == joint_outcome_tags(e)
+        assert realizes(p, e)
+        assert check_strong_determinism(p).holds
+
+
+    def test_tags_only_the_outcome_support(self):
+        # 1,000 outcomes per party and two weights: tagging every outcome
+        # pair built a million hidden labels
+        x = tuple(str(i) for i in range(1000))
+        e = empirical_model(x, x, ("y",), ("y",), {("0", "1", "y", "y"): HALF, ("999", "998", "y", "y"): HALF})
+        started = time.monotonic()
+        p = determinize_empirical(e)
+        assert time.monotonic() - started < 1.0
+        assert p.space("lam").atoms == ("0|1", "999|998") == joint_outcome_tags(e)
+        assert p.measure.weights == {("0", "1", "y", "y", "0|1"): HALF, ("999", "998", "y", "y", "999|998"): HALF}
         assert realizes(p, e)
         assert check_strong_determinism(p).holds
 

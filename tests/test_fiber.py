@@ -1,6 +1,7 @@
 """Fiber products: construction, recognition, uniqueness, marginal recovery."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import product as cartesian
 from operator import itemgetter
@@ -155,6 +156,29 @@ class TestFiberProduct:
         )
         with pytest.raises(PreconditionError, match=r"\('0',\)"):
             fiber_product(q, r, over=("z",))
+
+    @pytest.mark.parametrize(
+        "q_tail, r_tail, message",
+        [
+            ({("1999", "1998"): QUARTER, ("1999", "1999"): QUARTER}, {("1999", "1998"): HALF}, "1/4 vs 1/2"),
+            ({("1999", "1999"): HALF}, {("1999", "1998"): QUARTER, ("1999", "1999"): QUARTER}, "0 vs 1/4"),
+        ],
+        ids=["on-both-supports", "off-the-first-support"],
+    )
+    def test_mismatch_over_large_label_sets_walks_the_supports(self, q_tail, r_tail, message):
+        # 2,000 x 2,000 shared labels; walking their product took seconds
+        z = tuple(str(i) for i in range(2000))
+
+        def on(name, tail):
+            weights = {("0", "0", "0"): HALF, **{("0", *atom): w for atom, w in tail.items()}}
+            return measure_on(((name, "0"), ("z1", z), ("z2", z)), weights)
+
+        q, r = on("x", q_tail), on("y", r_tail)
+        started = time.monotonic()
+        with pytest.raises(PreconditionError) as raised:
+            fiber_product(q, r, over=("z1", "z2"))
+        assert time.monotonic() - started < 1.0
+        assert str(raised.value) == f"marginals on ('z1', 'z2') differ, first at atom ('1999', '1998'): {message}"
 
     def test_coordinate_overlap_must_match_over(self):
         q = measure_on((("x", "01"), ("z", "01")), {("0", "0"): HALF, ("0", "1"): HALF})

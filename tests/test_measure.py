@@ -97,7 +97,10 @@ class TestMarginal:
         for _ in range(50):
             p = rand_measure(rng, (2, 3, 2))
             outer = marginal(p, ("c0", "c2"))
-            assert measures_equal(marginal(outer, ("c0",)), marginal(p, ("c0",)))
+            # the direct side comes from an equal measure built anew, so the
+            # nested chain cannot hand back an entry of p's memo
+            fresh = FiniteMeasure(p.layout, dict(p.weights))
+            assert measures_equal(marginal(outer, ("c0",)), marginal(fresh, ("c0",)))
 
 
 class TestConditional:
@@ -232,6 +235,125 @@ class TestMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert mismatches == []
+
+
+class TestRootSharing:
+    """A marginal shares its root's memo: equal results, the same errors, no lifetime link."""
+
+    SIZES = ((2, 3, 2), (3, 2, 3), (2, 2, 2, 2))
+
+    @staticmethod
+    def calls_inside(rng, names):
+        """A random marginal and a random conditional over coordinates in ``names``."""
+        coords = tuple(rng.sample(names, rng.randint(1, len(names))))
+        if len(names) < 2:
+            return [("marginal", (coords,))]
+        split = rng.sample(names, len(names))
+        cut = rng.randint(1, len(split) - 1)
+        target, given = split[:cut], split[cut:rng.randint(cut + 1, len(split))]
+        return [("marginal", (coords,)), ("conditional", (tuple(target), tuple(given)))]
+
+    def test_shared_results_equal_a_fresh_copy(self):
+        functions = {"marginal": marginal, "conditional": conditional}
+        rng = random.Random(60)
+        for i in range(200):
+            p = (rand_coprime_measure if i % 2 else rand_measure)(rng, rng.choice(self.SIZES))
+            sub = tuple(rng.sample(p.layout.names, rng.randint(1, len(p.layout.names))))
+            calls = self.calls_inside(rng, sub)
+            fresh = {
+                f: functions[f](FiniteMeasure(p.layout, dict(p.weights)), *args) for f, args in calls
+            }
+            root_first = i % 4 < 2
+            if root_first:
+                from_root = {f: functions[f](p, *args) for f, args in calls}
+            q = marginal(marginal(p, p.layout.names), sub) if i % 2 else marginal(p, sub)
+            assert q._root() is p
+            from_q = {f: functions[f](q, *args) for f, args in calls}
+            if not root_first:
+                from_root = {f: functions[f](p, *args) for f, args in calls}
+            for f, _ in calls:
+                assert from_q[f] == fresh[f]
+                # computed once, on whichever side asked first
+                assert from_q[f] is from_root[f]
+
+    def test_a_coordinate_the_marginal_lacks_raises_though_the_root_holds_the_key(self):
+        p = rand_measure(random.Random(61), (2, 3, 2))
+        marginal(p, ("c0",))
+        conditional(p, ("c0",), ("c1",))
+        q = marginal(p, ("c1", "c2"))
+        copy = FiniteMeasure(q.layout, dict(q.weights))
+        for call in (lambda m: marginal(m, ("c0",)), lambda m: conditional(m, ("c0",), ("c1",))):
+            with pytest.raises(LayoutError) as shared:
+                call(q)
+            with pytest.raises(LayoutError) as unshared:
+                call(copy)
+            assert str(shared.value) == str(unshared.value)
+        assert q._memo == {}
+
+    def test_a_marginal_outlives_its_root(self):
+        rng = random.Random(62)
+        for _ in range(20):
+            p = rand_measure(rng, (2, 3, 2))
+            fresh = FiniteMeasure(p.layout, dict(p.weights))
+            q = marginal(p, ("c0", "c2"))
+            marginal(p, ("c0",))
+            ref = weakref.ref(p)
+            del p
+            assert ref() is None
+            assert q._root() is None
+            assert marginal(q, ("c0",)) == marginal(fresh, ("c0",))
+            assert conditional(q, ("c2",), ("c0",)) == conditional(fresh, ("c2",), ("c0",))
+            # a marginal of a marginal whose root is gone links to its parent
+            assert marginal(q, ("c2",))._root() is q
+
+    def test_threads_sharing_a_root_get_correct_results(self):
+        rng = random.Random(65)
+        roots = [rand_measure(rng, (2, 2, 3)) for _ in range(12)]
+        fresh = [FiniteMeasure(p.layout, dict(p.weights)) for p in roots]
+
+        def results(p):
+            q = marginal(p, ("c0", "c2"))
+            return [
+                marginal(q, ("c0",)),
+                conditional(q, ("c2",), ("c0",)),
+                marginal(p, ("c0",)),
+                conditional(p, ("c2",), ("c0",)),
+                marginal(marginal(p, ("c0", "c1", "c2")), ("c2",)),
+            ]
+
+        expected = [results(p) for p in fresh]
+        mismatches = []
+
+        def worker():
+            for p, wanted in zip(roots, expected):
+                if results(p) != wanted:
+                    mismatches.append(p)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+    def test_results_of_other_constructions_have_no_root(self):
+        p = rand_measure(random.Random(63), (2, 3, 2))
+        q = rand_measure(random.Random(64), (2,), names=("u",))
+        names = p.layout.names
+        for derived in (
+            reorder(p, names[::-1]),
+            product(p, q),
+            fuse_factors(p, names[1:], "joint"),
+            fiber_product(marginal(p, names[:2]), marginal(p, names[1:]), names[1:2]),
+        ):
+            assert derived._root is None
+        assert marginal(p, names)._root() is p
 
 
 class TestProduct:
@@ -383,7 +505,9 @@ class TestAlmostSureIdentities:
         rng = random.Random(29)
         for _ in range(200):
             p = self.rand_layout_measure(rng)
-            from_full = conditional(p, ("x",), ("z",))
+            # the full side comes from an equal measure built anew, so the
+            # marginal cannot hand back an entry of p's memo
+            from_full = conditional(FiniteMeasure(p.layout, dict(p.weights)), ("x",), ("z",))
             from_marg = conditional(marginal(p, ("x", "z")), ("x",), ("z",))
             assert set(from_full.given_atoms()) == set(from_marg.given_atoms())
             for z in from_full.given_atoms():

@@ -7,8 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+import hvkit.measure as measure_module
 from hvkit import fixtures
+from hvkit.determinize import determinize_local
 from hvkit.errors import InternalCheckError
+from hvkit.fiber import is_fiber_product
 from hvkit.fixtures import (
     correlated_coins_model,
     fair_coin_product_model,
@@ -345,11 +348,11 @@ class TestCrossChecksWired:
     )
     @pytest.mark.parametrize("builder", [pr_box_hv, fair_coin_product_model], ids=lambda b: b.__name__)
     def test_wrong_fiber_verdict_raises(self, monkeypatch, checker, builder):
-        model = builder()
-        verdict = checker(model).holds
+        verdict = checker(builder()).holds
         monkeypatch.setattr("hvkit.properties.is_fiber_product", lambda *args: not verdict)
+        # a model built anew, since the first one's memo holds its fiber verdicts
         with pytest.raises(InternalCheckError):
-            checker(model)
+            checker(builder())
 
     @pytest.mark.parametrize("builder", [pr_box_hv, lambda_copies_setting_model], ids=lambda b: b.__name__)
     def test_wrong_product_verdict_raises(self, monkeypatch, builder):
@@ -358,6 +361,53 @@ class TestCrossChecksWired:
         monkeypatch.setattr("hvkit.properties.measures_equal", lambda *args: not verdict)
         with pytest.raises(InternalCheckError):
             check_lambda_independence(model)
+
+
+class TestOneKernelPerModel:
+    """Each conditional table and each fiber identity of a model is built once."""
+
+    @staticmethod
+    def record_tables(monkeypatch):
+        """Record every conditional table built from now on, as a hashable value."""
+        built = []
+        real = measure_module.CondProb
+
+        def recording(target, given, table):
+            built.append((target, given, tuple((g, tuple(row.items())) for g, row in table.items())))
+            return real(target, given, table)
+
+        monkeypatch.setattr(measure_module, "CondProb", recording)
+        return built
+
+    def test_check_all_builds_no_conditional_twice(self, monkeypatch):
+        built = self.record_tables(monkeypatch)
+        rng = random.Random(3)
+        for _ in range(200):
+            built.clear()
+            check_all(rand_hv_mixed(rng))
+            assert built and len(set(built)) == len(built)
+
+    def test_determinize_local_builds_no_conditional_twice(self, monkeypatch):
+        built = self.record_tables(monkeypatch)
+        rng = random.Random(4)
+        for _ in range(20):
+            built.clear()
+            determinize_local(rand_local_lambda_indep(rng, small=True))
+            assert built and len(set(built)) == len(built)
+
+    def test_check_all_decides_each_fiber_identity_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return is_fiber_product(*args)
+
+        monkeypatch.setattr("hvkit.properties.is_fiber_product", counting)
+        rng = random.Random(3)
+        for _ in range(200):
+            calls.clear()
+            check_all(rand_hv_mixed(rng))
+            assert 1 <= len(calls) <= 3
 
 
 def _labels(n):
