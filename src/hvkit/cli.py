@@ -38,6 +38,8 @@ import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
+from operator import getitem
 
 from .determinize import determinize_empirical, determinize_local
 from .errors import HVKitError, ModelFormatError, PreconditionError
@@ -123,16 +125,26 @@ def parse_model_text(text: str) -> Model:
 
 
 def serialize_model(model: Model) -> str:
+    """The model file's text, byte for byte ``json.dumps(document, indent=2) + "\\n"``.
+
+    Each label is encoded once per coordinate by the function ``json.dumps``
+    uses under ``ensure_ascii``, and each weight's entry is joined from those
+    fragments.  Every weight goes through ``rational_to_string``, so a value
+    over the digit cap raises before any text is returned.
+    """
     measure = model.measure
-    coords = measure.layout.names
-    document = {
-        "spaces": {name: list(measure.layout.space(name).atoms) for name in coords},
-        "weights": [
-            {"atom": dict(zip(coords, atom)), "p": rational_to_string(w)}
-            for atom, w in measure.weights.items()
-        ],
-    }
-    return json.dumps(document, indent=2) + "\n"
+    factors = measure.layout.factors
+    spaces = ",\n".join(
+        f"    {_json_str(f.name)}: [\n      " + ",\n      ".join(map(_json_str, f.atoms)) + "\n    ]"
+        for f in factors
+    )
+    fragments = [{label: f"\n        {_json_str(f.name)}: {_json_str(label)}" for label in f.atoms} for f in factors]
+    entries = ",\n".join(
+        '    {\n      "atom": {' + ",".join(map(getitem, fragments, atom))
+        + f'\n      }},\n      "p": "{rational_to_string(w)}"\n    }}'
+        for atom, w in measure.weights.items()
+    )
+    return '{\n  "spaces": {\n' + spaces + '\n  },\n  "weights": [\n' + entries + "\n  ]\n}\n"
 
 
 def load_model_file(path: str) -> Model:

@@ -6,6 +6,13 @@ given Z.  On finite spaces it always exists and is unique, and the
 defining integral becomes a finite sum over the positive atoms of the
 shared marginal.
 
+:func:`fiber_product` evaluates that sum in one walk: it groups q by z
+and joins each atom of r with its row, so it builds no conditional
+kernel and reorders neither input.  Where a row has a single entry, as
+when q is the deterministic side of a product in
+:func:`hvkit.determinize.determinize_local`, r's weight is the result's
+weight as it stands, so no new rational is formed.
+
 :func:`is_fiber_product` recognizes a fiber product by three readings,
 all on conditionals in the extension's own coordinate order, so on the
 extension they are the kernels its memo already holds.  When the
@@ -13,8 +20,8 @@ extension is a marginal of a model, those are the model's own kernels:
 a marginal shares its root's memo (see :mod:`hvkit.measure`).  The two
 factoring readings compare integer cross-products of the stored entries
 and the collapse reading compares rows entry for entry; no ``Fraction``
-is built.  Neither function reorders a measure whose coordinates already
-run in the order it needs.
+is built.  It reorders no measure whose coordinates already run in the
+order it needs.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from fractions import Fraction
 
 from .errors import InternalCheckError, LayoutError, PreconditionError
 from .measure import (
+    Atom,
     FiniteMeasure,
     ProductLayout,
     _canonical_key,
@@ -79,30 +87,46 @@ def fiber_product(q: FiniteMeasure, r: FiniteMeasure, over) -> FiniteMeasure:
     and to have identical marginals there.  The result extends both
     inputs and makes their private coordinates conditionally independent
     given the shared ones.
+
+    One walk builds it, with no conditional kernel and no reordering.
+    q is grouped into rows by its shared part z, read from both inputs
+    by position in q's order of ``over``.  Each atom of r is joined with
+    its row: an entry v gives the weight w v / s(z), one ``Fraction``
+    from integer products, where w is r's weight.  A row with one entry
+    holds s(z) itself, so there r's weight is kept as it stands; passing
+    the input with fewer atoms per z as q, such as a deterministic
+    coupling, makes every row one entry long.
     """
     x_names, y_names, z_names = _split_coords(q, r, over)
-    s = _check_shared_marginal(q, r, z_names)
+    s = _check_shared_marginal(q, r, z_names).weights
 
-    # x_names and z_names keep q's order; r's rows are looked up by z in that order
-    if r.layout.ordered(z_names) != z_names:
-        r = reorder(r, y_names + z_names)
-    kq = conditional(q, x_names, z_names)
-    kr = conditional(r, y_names, z_names)
+    rows: dict[Atom, list] = {}
+    for x, z, v in _split_atoms(q, x_names, z_names):
+        rows.setdefault(z, []).append((x, v.as_integer_ratio()))
+    weights = {}
+    for y, z, w in _split_atoms(r, y_names, z_names):
+        row = rows[z]
+        if len(row) == 1:
+            ((x, _),) = row
+            weights[x + y + z] = w
+            continue
+        # q(x, z) r(y, z) / s(z)
+        (wn, wd), (sn, sd) = w.as_integer_ratio(), s[z].as_integer_ratio()
+        for x, (vn, vd) in row:
+            weights[x + y + z] = Fraction(wn * vn * sd, wd * vd * sn)
 
     layout = ProductLayout(
         tuple(q.layout.space(n) for n in x_names)
         + tuple(r.layout.space(n) for n in y_names)
         + tuple(q.layout.space(n) for n in z_names)
     )
-    weights = {}
-    for z, mass in s.weights.items():
-        # q(x, z) r(y, z) / s(z) = kq(x | z) kr(y | z) s(z), normalized once
-        y_row = [(y, rv.numerator, rv.denominator) for y, rv in kr.row(z).items()]
-        for x, qv in kq.row(z).items():
-            n, d = qv.numerator * mass.numerator, qv.denominator * mass.denominator
-            for y, rn, rd in y_row:
-                weights[x + y + z] = Fraction(n * rn, d * rd)
     return _derived(layout, weights)
+
+
+def _split_atoms(p: FiniteMeasure, own_names, z_names):
+    """(own part, shared part, weight) of each atom of p, each part in the order its names are given."""
+    own_of, z_of = _projector(p.layout.positions(own_names)), _projector(p.layout.positions(z_names))
+    return ((own_of(atom), z_of(atom), w) for atom, w in p.weights.items())
 
 
 def _factors(row, x_row, y_row, x_of, y_of) -> bool:

@@ -8,12 +8,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hvkit.cli
 from hvkit.cli import load_model_file, main, parse_model_text, save_model_file, serialize_model
 from hvkit.errors import ModelFormatError, ResourceLimitError
 from hvkit.fixtures import FIXTURE_FILES
-from hvkit.models import EmpiricalModel, HVModel, empirical_model, hv_model
+from hvkit.measure import FiniteMeasure, FiniteSpace, ProductLayout
+from hvkit.models import HV_COORDS, LAM, PSI_COORDS, EmpiricalModel, HVModel, empirical_model, hv_model
 from hvkit.quantumgen import singlet_model
 from hvkit.rationals import MAX_RATIONAL_DIGITS
 
@@ -462,6 +465,72 @@ class TestOutputDigitCap:
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "MAX_RATIONAL_DIGITS" in err
+        assert not path.exists()
+
+
+def json_dumps_text(model):
+    """The model file's text as ``json.dumps`` writes its document."""
+    measure = model.measure
+    coords = measure.layout.names
+    document = {
+        "spaces": {name: list(measure.layout.space(name).atoms) for name in coords},
+        "weights": [
+            {"atom": dict(zip(coords, atom)), "p": f"{w.numerator}/{w.denominator}"}
+            for atom, w in measure.weights.items()
+        ],
+    }
+    return json.dumps(document, indent=2) + "\n"
+
+
+# quote, backslash, the label separator, control characters, non-ASCII and astral characters
+AWKWARD = '"\\|\x00\x08\t\n\x1f\x7f\xe9\u2028\U0001f600\U0010ffff'
+LABELS = st.text(st.one_of(st.sampled_from(AWKWARD), st.characters()), min_size=1, max_size=5)
+
+
+@st.composite
+def labelled_models(draw):
+    coords = HV_COORDS if draw(st.booleans()) else PSI_COORDS
+    spaces = [FiniteSpace(name, tuple(draw(st.lists(LABELS, min_size=1, max_size=3, unique=True)))) for name in coords]
+    atom = st.tuples(*(st.sampled_from(space.atoms) for space in spaces))
+    atoms = draw(st.lists(atom, min_size=1, max_size=6, unique=True))
+    numerators = draw(st.lists(st.integers(1, 10**30), min_size=len(atoms), max_size=len(atoms)))
+    weights = {a: Fraction(n, sum(numerators)) for a, n in zip(atoms, numerators)}
+    measure = FiniteMeasure(ProductLayout(tuple(spaces)), weights)
+    return HVModel(measure) if LAM in coords else EmpiricalModel(measure)
+
+
+class TestWriterMatchesJsonDumps:
+    """serialize_model writes exactly the bytes json.dumps(document, indent=2) does."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(labelled_models())
+    def test_generated_models(self, model):
+        assert serialize_model(model) == json_dumps_text(model)
+
+    @pytest.mark.parametrize("char", AWKWARD)
+    def test_each_awkward_character(self, char):
+        model = empirical_model((char, f"a{char}b"), (f"{char}{char}",), "0", "01", {
+            (char, f"{char}{char}", "0", "0"): Fraction(1, 3),
+            (f"a{char}b", f"{char}{char}", "0", "1"): Fraction(2, 3),
+        })
+        assert serialize_model(model) == json_dumps_text(model)
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_FILES))
+    def test_shipped_fixtures(self, name):
+        text = (FIXTURE_DIR / name).read_text(encoding="utf-8")
+        model = parse_model_text(text)
+        assert serialize_model(model) == json_dumps_text(model) == text
+
+    def test_weight_past_the_cap_after_others_raises_and_leaves_no_file(self, tmp_path):
+        tiny = Fraction(1, 10**MAX_RATIONAL_DIGITS)
+        model = empirical_model("012", "0", "0", "0", {
+            ("0", "0", "0", "0"): Fraction(1, 2), ("1", "0", "0", "0"): Fraction(1, 2) - tiny, ("2", "0", "0", "0"): tiny,
+        })
+        with pytest.raises(ResourceLimitError, match="MAX_RATIONAL_DIGITS"):
+            serialize_model(model)
+        path = tmp_path / "out.json"
+        with pytest.raises(ResourceLimitError, match="MAX_RATIONAL_DIGITS"):
+            save_model_file(model, str(path))
         assert not path.exists()
 
 

@@ -5,11 +5,12 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian
+from pathlib import Path
 
 import pytest
 
 import hvkit.determinize
-from hvkit.cli import main, save_model_file
+from hvkit.cli import load_model_file, main, save_model_file, serialize_model
 from hvkit.determinize import (
     MAX_DETERMINIZED_ATOMS,
     _interval_side,
@@ -23,13 +24,16 @@ from hvkit.determinize import (
 from hvkit.errors import PreconditionError, ResourceLimitError
 from hvkit.fixtures import fair_coin_product_model, pr_box, pr_box_hv
 from hvkit.measure import FiniteMeasure, FiniteSpace, ProductLayout, conditional, marginal
-from hvkit.models import LAM, empirical_model, equivalent, hv_model, realizes
+from hvkit.models import LAM, EmpiricalModel, empirical_model, equivalent, hv_model, realizes
 from hvkit.properties import (
     HVProperty,
     check_lambda_independence,
     check_strong_determinism,
 )
 from randmodels import rand_dist, rand_empirical, rand_local_lambda_indep
+from test_fiber import oracle_fiber_product
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -372,6 +376,31 @@ class TestEndpointOracle:
                 shared_endpoints += any(a & b for i, a in enumerate(inner) for b in inner[i + 1:])
         # the suite exercises both cases the endpoint lookup must get right
         assert zero_conditionals > 50 and shared_endpoints > 50
+
+
+class TestFiberOracleEndToEnd:
+    """Both determinizations write the same bytes when their fiber products come from the oracle."""
+
+    def assert_same_bytes(self, monkeypatch, determinize, model):
+        got = serialize_model(determinize(model))
+        # a fresh copy, so the oracle side reads nothing from the first call's memo
+        fresh = type(model)(FiniteMeasure(model.measure.layout, dict(model.measure.weights)))
+        with monkeypatch.context() as patched:
+            patched.setattr(hvkit.determinize, "fiber_product", oracle_fiber_product)
+            want = serialize_model(determinize(fresh))
+        assert got == want
+
+    def test_determinize_local(self, monkeypatch):
+        rng = random.Random(59)
+        for _ in range(100):
+            self.assert_same_bytes(monkeypatch, determinize_local, rand_local_lambda_indep(rng))
+
+    def test_determinize_empirical_on_shipped_fixtures(self, monkeypatch):
+        models = [load_model_file(str(path)) for path in sorted(FIXTURE_DIR.glob("*.json"))]
+        empirical = [m for m in models if isinstance(m, EmpiricalModel)]
+        assert len(empirical) >= 2
+        for model in empirical:
+            self.assert_same_bytes(monkeypatch, determinize_empirical, model)
 
 
 class TestOutputCap:

@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product as cartesian
 from operator import itemgetter
@@ -383,6 +384,30 @@ def rand_triple(rng):
     return reorder(p, shuffled(rng, p.layout.names)), q, r
 
 
+def collapsed(rng, m, share):
+    """``m`` with each z cell, at about ``share`` of them, moved onto one of its own atoms.
+
+    Such a cell's row has a single entry.  The z marginal is unchanged.
+    """
+    z_at = m.layout.positions(NAMES["z"])
+    rows = {}
+    for atom, w in m.weights.items():
+        rows.setdefault(tuple(atom[i] for i in z_at), []).append((atom, w))
+    weights = {}
+    for row in rows.values():
+        if rng.random() < share:
+            weights[rng.choice(row)[0]] = sum(w for _, w in row)
+        else:
+            weights.update(row)
+    return FiniteMeasure(m.layout, weights)
+
+
+def z_row_sizes(m):
+    """The number of atoms of ``m`` on each z cell."""
+    z_at = m.layout.positions(NAMES["z"])
+    return Counter(tuple(atom[i] for i in z_at) for atom in m.weights).values()
+
+
 def outcome(fn, *args):
     """``fn``'s result, or the type and message of what it raised."""
     try:
@@ -422,20 +447,59 @@ class TestAgainstReorderOracle:
 
     def test_fiber_product_is_byte_identical(self):
         rng = random.Random(31)
-        for _ in range(200):
+        seen = Counter()
+        for _ in range(300):
             _, q, r = rand_triple(rng)
+            q, r = collapsed(rng, q, rng.choice((0, 0.5, 1))), collapsed(rng, r, rng.choice((0, 0.5, 1)))
             over = shuffled(rng, NAMES["z"])
             got, want = fiber_product(q, r, over), oracle_fiber_product(q, r, over)
             assert got.layout == want.layout
             assert list(got.weights.items()) == list(want.weights.items())
             assert repr(got) == repr(want)
+            seen["q larger"] += len(q.weights) > len(r.weights)
+            seen["r larger"] += len(q.weights) < len(r.weights)
+            rows = z_row_sizes(q)  # q is the grouped input
+            seen["one-entry row"] += 1 in rows
+            seen["many-entry row"] += max(rows) > 1
+            seen["r's z in another order"] += r.layout.ordered(NAMES["z"]) != q.layout.ordered(NAMES["z"])
+        # both size orders, both row kinds and a reordered r each occur often
+        assert len(seen) == 5 and min(seen.values()) >= 30, seen
 
     def test_fiber_product_mismatch_matches(self):
         rng = random.Random(37)
-        _, q, _ = rand_triple(rng)
-        _, _, other_r = rand_triple(rng)
-        got = outcome(fiber_product, q, other_r, NAMES["z"])
-        assert got == outcome(oracle_fiber_product, q, other_r, NAMES["z"])
+        q_larger = Counter()
+        for _ in range(80):
+            _, q, _ = rand_triple(rng)
+            _, _, r = rand_triple(rng)
+            q = collapsed(rng, q, rng.choice((0, 1)))
+            over = shuffled(rng, NAMES["z"])
+            got = outcome(fiber_product, q, r, over)
+            assert got == outcome(oracle_fiber_product, q, r, over)
+            if got[0] == "raised":
+                assert got[1] is PreconditionError
+                q_larger[len(q.weights) > len(r.weights)] += 1
+        assert q_larger[True] >= 10 and q_larger[False] >= 10, q_larger
+
+    def test_fiber_product_builds_no_kernel_and_reorders_no_input(self, monkeypatch):
+        reordered = []
+
+        def recording_reorder(p, names):
+            reordered.append(p.layout.names)
+            return reorder(p, names)
+
+        def no_conditional(p, target, given):
+            raise AssertionError(f"conditional of {target} given {given} built")
+
+        monkeypatch.setattr(fiber_module, "reorder", recording_reorder)
+        monkeypatch.setattr(fiber_module, "conditional", no_conditional)
+        rng = random.Random(53)
+        for _ in range(100):
+            _, q, r = rand_triple(rng)
+            q, r = collapsed(rng, q, rng.choice((0, 1))), collapsed(rng, r, rng.choice((0, 1)))
+            fiber_product(q, r, shuffled(rng, NAMES["z"]))
+        assert reordered, "the shared-marginal check no longer calls reorder; the test checks nothing"
+        # the only measure reordered is r's marginal on the shared coordinates
+        assert {frozenset(names) for names in reordered} == {frozenset(NAMES["z"])}
 
     def test_factoring_needs_every_product_cell(self):
         # the stored entry matches its product, but the cell ("1", "0") is missing;
