@@ -159,7 +159,11 @@ def determinize_local(p: HVModel) -> HVModel:
     settings (checked; the failing report rides on the error).  The new
     hidden space is the product of the old one with one randomness cell
     per party; the construction follows the interval-splitting recipe and
-    verifies its own postconditions on every call.  Before any fiber
+    verifies its own postconditions on every call.  Two fiber products
+    build it from the base r_bar of settings, lam and both cells: Alice's
+    coupling of outcome to (own setting, lam, cell) over r_bar, then Bob's
+    over that.  A fiber product is unique, so this is the join of both
+    parties' extensions of r_bar over all its coordinates.  Before any fiber
     product it raises ResourceLimitError if the output would have more
     atoms or hidden labels than MAX_DETERMINIZED_ATOMS = 100,000.
     """
@@ -190,10 +194,11 @@ def determinize_local(p: HVModel) -> HVModel:
     # randomness cells are independent of everything else
     r_bar = product(product(settings_lam, lengths_a), lengths_b)
 
+    # each party's outcome joins over its own setting, lam and cell; a
+    # coupling is deterministic there, so it is q and every row one entry long
     extended_a = fiber_product(coupling_a, r_bar, over=(YA, LAM, "cell_a"))
-    extended_b = fiber_product(coupling_b, r_bar, over=(YB, LAM, "cell_b"))
     joined = reorder(
-        fiber_product(extended_a, extended_b, over=(YA, YB, LAM, "cell_a", "cell_b")),
+        fiber_product(coupling_b, extended_a, over=(YB, LAM, "cell_b")),
         (XA, XB, YA, YB, LAM, "cell_a", "cell_b"),
     )
     # hidden space becomes old-lam x cell_a x cell_b, fused into one

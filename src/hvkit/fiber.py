@@ -6,10 +6,11 @@ given Z.  On finite spaces it always exists and is unique, and the
 defining integral becomes a finite sum over the positive atoms of the
 shared marginal.
 
-:func:`fiber_product` evaluates that sum in one walk: it groups q by z
-and joins each atom of r with its row, so it builds no conditional
-kernel and reorders neither input.  Where a row has a single entry, as
-when q is the deterministic side of a product in
+:func:`fiber_product` evaluates that sum from one grouping of each
+input by its shared part z, so it builds no intermediate measure: the
+row sums are the shared marginal on each side, compared in integers,
+and each entry of q's row is joined with each entry of r's.  Where a row
+of q has a single entry, as when q is a party's deterministic coupling in
 :func:`hvkit.determinize.determinize_local`, r's weight is the result's
 weight as it stands, so no new rational is formed.
 
@@ -35,12 +36,14 @@ from .measure import (
     ProductLayout,
     _canonical_key,
     _derived,
+    _exact_sum,
     _projector,
     conditional,
     marginal,
     measures_equal,
     reorder,
 )
+from .rationals import ZERO
 
 
 def _split_coords(q: FiniteMeasure, r: FiniteMeasure, over) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
@@ -64,20 +67,38 @@ def _split_coords(q: FiniteMeasure, r: FiniteMeasure, over) -> tuple[tuple[str, 
     return x_names, y_names, z_names
 
 
-def _check_shared_marginal(q: FiniteMeasure, r: FiniteMeasure, z_names) -> FiniteMeasure:
-    s_q = marginal(q, z_names)
-    s_r = reorder(marginal(r, z_names), s_q.layout.names)
-    if not measures_equal(s_q, s_r):
-        # off both supports the two sides are zero, so the first differing
-        # atom in canonical order lies in their union
-        for atom in sorted(s_q.weights.keys() | s_r.weights.keys(), key=_canonical_key(s_q.layout.factors)):
-            if s_q.weight(atom) != s_r.weight(atom):
-                raise PreconditionError(
-                    f"marginals on {z_names} differ, first at atom {atom!r}: "
-                    f"{s_q.weight(atom)} vs {s_r.weight(atom)}"
-                )
-        raise InternalCheckError("marginals unequal but no differing atom found")
-    return s_q
+def _grouped(p: FiniteMeasure, z_names) -> dict[Atom, list[tuple[Atom, Fraction]]]:
+    """p's (atom, weight) pairs in rows keyed by their labels on ``z_names``, in that order."""
+    z_of = _projector(p.layout.positions(z_names))
+    rows: dict[Atom, list] = {}
+    for item in p.weights.items():
+        rows.setdefault(z_of(item[0]), []).append(item)
+    return rows
+
+
+def _check_shared_marginal(q: FiniteMeasure, r: FiniteMeasure, z_names):
+    """q and r grouped by z, and the shared marginal s, after checking that q and r agree on it.
+
+    s(z) is a row's sum, taken in integers by :func:`_exact_sum` as
+    :func:`hvkit.measure.marginal` takes it.  Off both supports both
+    sides are zero, so the first atom where they differ in canonical
+    order lies in the union of the two row sets.
+    """
+    q_rows, r_rows = _grouped(q, z_names), _grouped(r, z_names)
+    s_q, s_r = (
+        {
+            z: row[0][1] if len(row) == 1 else Fraction(*_exact_sum([w.as_integer_ratio() for _, w in row]))
+            for z, row in rows.items()
+        }
+        for rows in (q_rows, r_rows)
+    )
+    if s_q != s_r:
+        differing = (z for z in s_q.keys() | s_r.keys() if s_q.get(z) != s_r.get(z))
+        z = min(differing, key=_canonical_key(tuple(map(q.layout.space, z_names))))
+        raise PreconditionError(
+            f"marginals on {z_names} differ, first at atom {z!r}: {s_q.get(z, ZERO)} vs {s_r.get(z, ZERO)}"
+        )
+    return q_rows, r_rows, s_q
 
 
 def fiber_product(q: FiniteMeasure, r: FiniteMeasure, over) -> FiniteMeasure:
@@ -88,32 +109,32 @@ def fiber_product(q: FiniteMeasure, r: FiniteMeasure, over) -> FiniteMeasure:
     inputs and makes their private coordinates conditionally independent
     given the shared ones.
 
-    One walk builds it, with no conditional kernel and no reordering.
-    q is grouped into rows by its shared part z, read from both inputs
-    by position in q's order of ``over``.  Each atom of r is joined with
-    its row: an entry v gives the weight w v / s(z), one ``Fraction``
-    from integer products, where w is r's weight.  A row with one entry
+    It builds no intermediate measure: no marginal, conditional kernel
+    or reordering.  Each input is grouped once into rows by its shared
+    part z, read by position in q's order of ``over``, and the row sums
+    are the shared marginal s(z) on each side, compared in integers.
+    Each entry v of q's row and w of r's row give the weight v w / s(z),
+    one ``Fraction`` from integer products.  A row of q with one entry
     holds s(z) itself, so there r's weight is kept as it stands; passing
     the input with fewer atoms per z as q, such as a deterministic
     coupling, makes every row one entry long.
     """
     x_names, y_names, z_names = _split_coords(q, r, over)
-    s = _check_shared_marginal(q, r, z_names).weights
+    rows, r_rows, s = _check_shared_marginal(q, r, z_names)
+    x_of, y_of = _projector(q.layout.positions(x_names)), _projector(r.layout.positions(y_names))
 
-    rows: dict[Atom, list] = {}
-    for x, z, v in _split_atoms(q, x_names, z_names):
-        rows.setdefault(z, []).append((x, v.as_integer_ratio()))
     weights = {}
-    for y, z, w in _split_atoms(r, y_names, z_names):
-        row = rows[z]
+    for z, row in rows.items():
         if len(row) == 1:
-            ((x, _),) = row
-            weights[x + y + z] = w
+            x = x_of(row[0][0])
+            weights.update((x + y_of(b) + z, w) for b, w in r_rows[z])
             continue
         # q(x, z) r(y, z) / s(z)
-        (wn, wd), (sn, sd) = w.as_integer_ratio(), s[z].as_integer_ratio()
-        for x, (vn, vd) in row:
-            weights[x + y + z] = Fraction(wn * vn * sd, wd * vd * sn)
+        sn, sd = s[z].as_integer_ratio()
+        for a, v in row:
+            for b, w in r_rows[z]:
+                (vn, vd), (wn, wd) = v.as_integer_ratio(), w.as_integer_ratio()
+                weights[x_of(a) + y_of(b) + z] = Fraction(vn * wn * sd, vd * wd * sn)
 
     layout = ProductLayout(
         tuple(q.layout.space(n) for n in x_names)
@@ -121,12 +142,6 @@ def fiber_product(q: FiniteMeasure, r: FiniteMeasure, over) -> FiniteMeasure:
         + tuple(q.layout.space(n) for n in z_names)
     )
     return _derived(layout, weights)
-
-
-def _split_atoms(p: FiniteMeasure, own_names, z_names):
-    """(own part, shared part, weight) of each atom of p, each part in the order its names are given."""
-    own_of, z_of = _projector(p.layout.positions(own_names)), _projector(p.layout.positions(z_names))
-    return ((own_of(atom), z_of(atom), w) for atom, w in p.weights.items())
 
 
 def _factors(row, x_row, y_row, x_of, y_of) -> bool:
@@ -161,10 +176,18 @@ def is_fiber_product(p: FiniteMeasure, q: FiniteMeasure, r: FiniteMeasure, over)
     """Whether the common extension ``p`` is the fiber product of q and r.
 
     ``p`` must extend both q and r (error otherwise).  Three equivalent
-    characterizations are evaluated independently -- the conditional joint
-    factoring through q and r, through p itself, and the conditional on
-    the enlarged algebra collapsing to the shared one -- and must agree;
+    characterizations are evaluated -- the conditional joint factoring
+    through q and r, through p itself, and the conditional on the
+    enlarged algebra collapsing to the shared one -- and must agree;
     disagreement raises, since it would mean the package itself is broken.
+    The first two are separate computations only when q or r is not a
+    marginal of p's model.  In every call hvkit makes, p, q and r are a
+    model and its marginals, so q's and r's conditionals are p's own
+    memoized kernels, and those two readings run the same comparison on
+    the same kernels.  On the outcome identity that comparison is also
+    the outcome-independence checker's own equation, and on the
+    parameter identities the collapse reading is the
+    parameter-independence checker's.
 
     Checking singleton events suffices: finite additivity extends the
     identities to all events.  Every conditional is taken in p's own

@@ -29,12 +29,13 @@ measure is formed, so each sum's denominator stays as small as the
 ``Fraction`` sum of the same weights would make it.
 
 Each measure memoizes the results of :func:`marginal` and
-:func:`conditional` taken on it, keyed by the function and its
-coordinate arguments as given, so a repeated call returns the first
-result.  A marginal also holds a weak reference to its root: the
-measure it was taken on, or that measure's root when it is itself a
-marginal.  :func:`reorder`, :func:`product`, :func:`fuse_factors` and
-the fiber product give their results no root.  A marginal q keeps its
+:func:`conditional` taken on it, and of any other function wrapped in
+:func:`_memoized`, keyed by the function and its coordinate arguments as
+given, so a repeated call returns the first result.  A marginal also
+holds a weak reference to its root: the measure it was taken on, or
+that measure's root when it is itself a marginal.  :func:`reorder`,
+:func:`product`, :func:`fuse_factors` and the fiber product give their
+results no root.  A marginal q keeps its
 root's coordinate order and spaces, so for coordinates inside q,
 ``marginal(q, B)`` equals ``marginal(root, B)`` and ``conditional(q, T,
 G)`` equals ``conditional(root, T, G)``, row for row and in the same
@@ -349,7 +350,10 @@ def _live_root(p: FiniteMeasure) -> FiniteMeasure | None:
 def _memoized(fn):
     """Cache ``fn(p, *coords)`` on ``p`` and on its root; a call that raises caches nothing.
 
-    See the module docstring for the order of lookups on a miss.
+    See the module docstring for the order of lookups on a miss.  Every
+    measure with the same root that ``fn`` is called on must give the
+    same result for the same coordinates, as marginals and conditionals
+    on a marginal's own coordinates do.
     """
 
     @functools.wraps(fn)

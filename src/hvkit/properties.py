@@ -16,9 +16,13 @@ the target labels before the conditioning labels.  A conditional
 identity is decided row by row on the stored entries of the memoized
 conditionals of the model, which the fiber identities read too: they
 take conditionals on the model's marginals, and a marginal shares its
-root's memo.  Each fiber identity is decided once per model and its
-verdict kept in the model's memo, so :func:`check_all` evaluates each
-once while every checker still compares its equation against it.  Only
+root's memo.  Each fiber identity is decided once per model: its
+verdict is memoized like a kernel (:func:`hvkit.measure._memoized`), so
+:func:`check_all` evaluates each once while every checker still compares
+its equation against it.  A model whose measure is a marginal shares the
+verdict with its root.  That is sound because checkers run only on
+measures with exactly the HV coordinates, and every marginal of a root
+on those coordinates is the same measure, in the root's order.  Only
 the first row that fails is searched cell by cell
 through :func:`_first_violation` for the witness, over the target atoms
 where either side can be positive.  Products are compared
@@ -32,12 +36,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce, wraps
+from functools import reduce
 from operator import itemgetter, mul
 
 from .errors import InternalCheckError
 from .fiber import _factors, is_fiber_product
-from .measure import _canonical_key, conditional, marginal, measures_equal, product
+from .measure import _canonical_key, _memoized, conditional, marginal, measures_equal, product
 from .models import HVModel, LAM, XA, XB, YA, YB
 
 
@@ -169,31 +173,14 @@ def _assert_agreement(prop: HVProperty, **readings: bool) -> None:
         raise InternalCheckError(f"{prop.value}: readings disagree: {verdicts}")
 
 
-def _once_per_measure(identity):
-    """Cache the verdict ``identity(m)`` in ``m``'s memo, so check_all decides each identity once.
-
-    The verdict is about ``m`` alone, so unlike a kernel it is never
-    shared with the root of a marginal.
-    """
-
-    @wraps(identity)
-    def cached(m) -> bool:
-        key = (identity.__name__,)
-        if key not in m._memo:
-            m._memo[key] = identity(m)
-        return m._memo[key]
-
-    return cached
-
-
-@_once_per_measure
+@_memoized
 def _outcome_fiber(m) -> bool:
     """Outcome independence as a fiber identity: m = p_a x_(ya, yb, lam) p_b."""
     p_a, p_b = marginal(m, (XA, YA, YB, LAM)), marginal(m, (XB, YA, YB, LAM))
     return is_fiber_product(m, p_a, p_b, (YA, YB, LAM))
 
 
-@_once_per_measure
+@_memoized
 def _parameter_fibers(m) -> bool:
     """Parameter independence as fiber identities: p_a = q_a x_(ya, lam) r, p_b = q_b x_(yb, lam) r."""
     p_a, p_b = marginal(m, (XA, YA, YB, LAM)), marginal(m, (XB, YA, YB, LAM))

@@ -236,22 +236,20 @@ def strategy_hv_model(
 ) -> HVModel:
     """The hidden-variable model induced by a strategy mixture.
 
-    The hidden space enumerates all strategies; settings keep their
-    original distribution and are independent of the strategy choice.
+    The hidden space lists the strategies of positive weight, the i-th
+    strategy labelled ``s<i>``; settings keep their original distribution
+    and are independent of the strategy choice.
     """
     ya, yb = e.space(YA), e.space(YB)
-    labels = tuple(f"s{i}" for i in range(len(strategies)))
-    lam = FiniteSpace(LAM, labels)
+    chosen = [(f"s{i}", s, weights[s]) for i, s in enumerate(strategies) if weights.get(s, ZERO) != 0]
+    lam = FiniteSpace(LAM, tuple(label for label, _, _ in chosen))
     settings = marginal(e.measure, (YA, YB))
 
-    atom_weights = {}
-    for label, strategy in zip(labels, strategies):
-        w = weights.get(strategy, ZERO)
-        if w == 0:
-            continue
-        for context, mass in settings.weights.items():
-            key = _strategy_outcome(strategy, ya, yb, context) + context + (label,)
-            atom_weights[key] = atom_weights.get(key, ZERO) + w * mass
+    atom_weights = {
+        _strategy_outcome(strategy, ya, yb, context) + context + (label,): w * mass
+        for label, strategy, w in chosen
+        for context, mass in settings.weights.items()
+    }
     layout = ProductLayout((e.space(XA), e.space(XB), ya, yb, lam))
     return HVModel(FiniteMeasure(layout, atom_weights))
 

@@ -23,11 +23,21 @@ from hvkit.determinize import (
 )
 from hvkit.errors import PreconditionError, ResourceLimitError
 from hvkit.fixtures import fair_coin_product_model, pr_box, pr_box_hv
-from hvkit.measure import FiniteMeasure, FiniteSpace, ProductLayout, conditional, marginal
-from hvkit.models import LAM, EmpiricalModel, empirical_model, equivalent, hv_model, realizes
+from hvkit.measure import (
+    FiniteMeasure,
+    FiniteSpace,
+    ProductLayout,
+    conditional,
+    fuse_factors,
+    marginal,
+    product,
+    reorder,
+)
+from hvkit.models import LAM, EmpiricalModel, HVModel, empirical_model, equivalent, hv_model, realizes
 from hvkit.properties import (
     HVProperty,
     check_lambda_independence,
+    check_locality,
     check_strong_determinism,
 )
 from randmodels import rand_dist, rand_empirical, rand_local_lambda_indep
@@ -401,6 +411,61 @@ class TestFiberOracleEndToEnd:
         assert len(empirical) >= 2
         for model in empirical:
             self.assert_same_bytes(monkeypatch, determinize_empirical, model)
+
+
+def oracle_determinize_local(p):
+    """The three-fiber-product body determinize_local had before, kept as a reference.
+
+    Each party's coupling extends r_bar on its own, and the two extensions
+    are joined over all five of r_bar's coordinates.  The fiber products
+    come from the reference in test_fiber.  The prechecks, the size cap and
+    the self-verification are left out.
+    """
+    rows_a, rows_b = interval_partition(p, "a"), interval_partition(p, "b")
+    lengths_a, coupling_a = _interval_side(p, rows_a, refined_cells("a", rows_a))
+    lengths_b, coupling_b = _interval_side(p, rows_b, refined_cells("b", rows_b))
+    r_bar = product(product(marginal(p.measure, ("ya", "yb", LAM)), lengths_a), lengths_b)
+    extended_a = oracle_fiber_product(coupling_a, r_bar, over=("ya", LAM, "cell_a"))
+    extended_b = oracle_fiber_product(coupling_b, r_bar, over=("yb", LAM, "cell_b"))
+    joined = reorder(
+        oracle_fiber_product(extended_a, extended_b, over=("ya", "yb", LAM, "cell_a", "cell_b")),
+        ("xa", "xb", "ya", "yb", LAM, "cell_a", "cell_b"),
+    )
+    return HVModel(fuse_factors(joined, (LAM, "cell_a", "cell_b"), LAM))
+
+
+class TestThreeProductOracle:
+    """determinize_local builds two fiber products and writes the bytes the three-product body wrote."""
+
+    def assert_same_bytes(self, monkeypatch, model):
+        calls, real = [], hvkit.determinize.fiber_product
+
+        def counting(q, r, over):
+            calls.append(over)
+            return real(q, r, over)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(hvkit.determinize, "fiber_product", counting)
+            got = serialize_model(determinize_local(model))
+        assert calls == [("ya", LAM, "cell_a"), ("yb", LAM, "cell_b")]
+        fresh = type(model)(FiniteMeasure(model.measure.layout, dict(model.measure.weights)))
+        assert got == serialize_model(oracle_determinize_local(fresh))
+
+    def test_randomized_suites(self, monkeypatch):
+        rng = random.Random(61)
+        for _ in range(40):
+            self.assert_same_bytes(monkeypatch, rand_local_lambda_indep(rng))
+        for _ in range(20):
+            self.assert_same_bytes(monkeypatch, rand_sparse_local(rng))
+
+    def test_shipped_fixtures(self, monkeypatch):
+        models = [load_model_file(str(path)) for path in sorted(FIXTURE_DIR.glob("*.json"))]
+        local = [
+            m for m in models if isinstance(m, HVModel) and check_locality(m).holds and check_lambda_independence(m).holds
+        ]
+        assert local  # the fair-coin product model
+        for model in local:
+            self.assert_same_bytes(monkeypatch, model)
 
 
 class TestOutputCap:

@@ -11,12 +11,13 @@ import pytest
 
 import hvkit.fiber as fiber_module
 from hvkit.errors import InternalCheckError, LayoutError, PreconditionError
-from hvkit.fiber import _check_shared_marginal, _split_coords, fiber_product, is_fiber_product
+from hvkit.fiber import _split_coords, fiber_product, is_fiber_product
 from hvkit.fixtures import fair_coin_product_model, pr_box_hv
 from hvkit.measure import (
     FiniteMeasure,
     FiniteSpace,
     ProductLayout,
+    _canonical_key,
     conditional,
     marginal,
     measures_equal,
@@ -274,12 +275,29 @@ class TestRandomizedInvariants:
 # ---------------------------------------------------------------------------
 # The reorder-and-Fraction fiber code this package used before its readings
 # became integer comparisons on the model's own conditionals, kept as a
-# reference.  Both take the shared preconditions from hvkit.fiber.
+# reference, with the measure-based shared-marginal check it used before
+# that check read row sums.  Both take the coordinate split from hvkit.fiber.
+
+
+def oracle_check_shared_marginal(q, r, z_names):
+    s_q = marginal(q, z_names)
+    s_r = reorder(marginal(r, z_names), s_q.layout.names)
+    if not measures_equal(s_q, s_r):
+        # off both supports the two sides are zero, so the first differing
+        # atom in canonical order lies in their union
+        for atom in sorted(s_q.weights.keys() | s_r.weights.keys(), key=_canonical_key(s_q.layout.factors)):
+            if s_q.weight(atom) != s_r.weight(atom):
+                raise PreconditionError(
+                    f"marginals on {z_names} differ, first at atom {atom!r}: "
+                    f"{s_q.weight(atom)} vs {s_r.weight(atom)}"
+                )
+        raise InternalCheckError("marginals unequal but no differing atom found")
+    return s_q
 
 
 def oracle_fiber_product(q, r, over):
     x_names, y_names, z_names = _split_coords(q, r, over)
-    s = _check_shared_marginal(q, r, z_names)
+    s = oracle_check_shared_marginal(q, r, z_names)
 
     q_aligned = reorder(q, x_names + z_names)
     r_aligned = reorder(r, y_names + z_names)
@@ -308,7 +326,7 @@ def oracle_is_fiber_product(p, q, r, over):
             f"extension has coordinates {p.layout.names}, expected exactly "
             f"{x_names + y_names + z_names}"
         )
-    _check_shared_marginal(q, r, z_names)
+    oracle_check_shared_marginal(q, r, z_names)
 
     q_cols = p.layout.ordered(x_names + z_names)
     r_cols = p.layout.ordered(y_names + z_names)
@@ -458,7 +476,7 @@ class TestAgainstReorderOracle:
             assert repr(got) == repr(want)
             seen["q larger"] += len(q.weights) > len(r.weights)
             seen["r larger"] += len(q.weights) < len(r.weights)
-            rows = z_row_sizes(q)  # q is the grouped input
+            rows = z_row_sizes(q)  # the one-entry shortcut reads q's rows
             seen["one-entry row"] += 1 in rows
             seen["many-entry row"] += max(rows) > 1
             seen["r's z in another order"] += r.layout.ordered(NAMES["z"]) != q.layout.ordered(NAMES["z"])
@@ -481,25 +499,32 @@ class TestAgainstReorderOracle:
         assert q_larger[True] >= 10 and q_larger[False] >= 10, q_larger
 
     def test_fiber_product_builds_no_kernel_and_reorders_no_input(self, monkeypatch):
-        reordered = []
+        called = []
 
-        def recording_reorder(p, names):
-            reordered.append(p.layout.names)
-            return reorder(p, names)
+        def recording(name, real):
+            def record(*args):
+                called.append(name)
+                return real(*args)
 
-        def no_conditional(p, target, given):
-            raise AssertionError(f"conditional of {target} given {given} built")
+            return record
 
-        monkeypatch.setattr(fiber_module, "reorder", recording_reorder)
-        monkeypatch.setattr(fiber_module, "conditional", no_conditional)
         rng = random.Random(53)
+        inputs = []
         for _ in range(100):
             _, q, r = rand_triple(rng)
             q, r = collapsed(rng, q, rng.choice((0, 1))), collapsed(rng, r, rng.choice((0, 1)))
-            fiber_product(q, r, shuffled(rng, NAMES["z"]))
-        assert reordered, "the shared-marginal check no longer calls reorder; the test checks nothing"
-        # the only measure reordered is r's marginal on the shared coordinates
-        assert {frozenset(names) for names in reordered} == {frozenset(NAMES["z"])}
+            inputs.append((q, r, shuffled(rng, NAMES["z"])))
+        patched = ("reorder", "marginal", "conditional", "measures_equal")
+        for name in patched + ("_derived",):
+            monkeypatch.setattr(fiber_module, name, recording(name, getattr(fiber_module, name)))
+        for q, r, over in inputs:
+            p = fiber_product(q, r, over)
+        # the only measure each product builds is its result
+        assert called == ["_derived"] * 100
+        called.clear()
+        # the patches are live: the recognizer's extension check and readings go through all four
+        assert is_fiber_product(p, q, r, NAMES["z"])
+        assert set(called) == set(patched)
 
     def test_factoring_needs_every_product_cell(self):
         # the stored entry matches its product, but the cell ("1", "0") is missing;

@@ -775,7 +775,7 @@ class TestDerivedSumCheck:
         self.drop_first_atom(monkeypatch, fiber_module)
         with pytest.raises(DomainError, match="sum to exactly 1"):
             fiber_product(p, r, ("c2",))
-        memo = dict(p._memo)  # what fiber_product's own marginals and conditionals cached
+        memo = dict(p._memo)  # what the calls before the patch cached
         self.drop_first_atom(monkeypatch, measure_module)
         calls = [
             lambda: marginal(p, ("c0", "c2")),

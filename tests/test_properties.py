@@ -1,9 +1,12 @@
 """The six property checkers: golden witnesses and logical relationships."""
 
+import ast
 import hashlib
 import random
 import time
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +24,8 @@ from hvkit.fixtures import (
     rational_singlet_hv,
     signaling_model,
 )
-from hvkit.models import hv_model
+from hvkit.measure import FiniteMeasure, FiniteSpace, ProductLayout, marginal
+from hvkit.models import HV_COORDS, HVModel, hv_model
 from hvkit.properties import (
     HVProperty,
     check_all,
@@ -32,7 +36,7 @@ from hvkit.properties import (
     check_strong_determinism,
     check_weak_determinism,
 )
-from randmodels import rand_hv_mixed, rand_local_lambda_indep, rand_strategy_mixture
+from randmodels import rand_dist, rand_hv_mixed, rand_local_lambda_indep, rand_strategy_mixture
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -408,6 +412,57 @@ class TestOneKernelPerModel:
             calls.clear()
             check_all(rand_hv_mixed(rng))
             assert 1 <= len(calls) <= 3
+
+
+    def test_a_model_on_a_marginal_shares_its_roots_verdicts_soundly(self, monkeypatch):
+        overs = []
+
+        def counting(*args):
+            overs.append(args[3])
+            return is_fiber_product(*args)
+
+        monkeypatch.setattr("hvkit.properties.is_fiber_product", counting)
+        rng = random.Random(6)
+        holds = Counter()
+        for _ in range(60):
+            small = rand_hv_mixed(rng).measure
+            # a sixth coordinate, correlated with the rest, at a random position
+            at = rng.randint(0, len(HV_COORDS))
+            extra = ("e0", "e1", "e2")
+            layout = ProductLayout(small.layout.factors[:at] + (FiniteSpace("e", extra),) + small.layout.factors[at:])
+            weights = {}
+            for atom, w in small.weights.items():
+                for label, share in rand_dist(rng, extra, zero_chance=0.3).items():
+                    weights[atom[:at] + (label,) + atom[at:]] = w * share
+            big = FiniteMeasure(layout, weights)
+            model = HVModel(marginal(big, HV_COORDS))
+            boundary = HVModel(FiniteMeasure(model.measure.layout, dict(model.measure.weights)))
+
+            overs.clear()
+            reports = check_all(model)
+            assert overs and len(set(overs)) == len(overs)  # each fiber identity decided once
+            assert reports == check_all(boundary)
+            # another marginal of the same root on the HV coordinates reads the shared verdicts
+            overs.clear()
+            assert check_all(HVModel(marginal(big, HV_COORDS[::-1]))) == reports
+            assert overs == []
+            holds[reports[0].holds] += 1
+        # both locality verdicts occur, so a shared verdict is tested both ways
+        assert holds[True] >= 10 and holds[False] >= 10, holds
+
+
+def test_only_measure_touches_a_measures_memo():
+    """Only hvkit.measure names a measure's memo or root; every other module goes through its functions."""
+    package = Path(__file__).resolve().parent.parent / "src" / "hvkit"
+    named = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "measure.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = (getattr(node, key, None) for key in ("attr", "id", "name", "value"))
+            if any(name in ("_memo", "_root") for name in names):
+                named.add(path.name)
+    assert named == set()
 
 
 def _labels(n):

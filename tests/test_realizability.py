@@ -289,6 +289,27 @@ class TestStrategyHVModel:
         ).weights
 
 
+    def test_hidden_space_lists_only_positive_weight_strategies(self):
+        rng = random.Random(8)
+        models = [rand_strategy_mixture(rng).empirical() for _ in range(20)]
+        # three strategies over 4 x 4 settings, 256 strategies in all
+        settings = "0123"
+        strategies = [tuple(rng.choice(BITS) for _ in settings) for _ in range(6)]
+        weights = {}
+        for (fa, fb), ya, yb in cartesian(zip(strategies[::2], strategies[1::2]), settings, settings):
+            key = (fa[int(ya)], fb[int(yb)], ya, yb)
+            weights[key] = weights.get(key, Fraction(0)) + Fraction(1, 48)
+        models.append(empirical_model(BITS, BITS, settings, settings, weights))
+        for e in models:
+            feasible, certificate = local_hvm_exists(e)
+            assert feasible
+            strategies = enumerate_strategies(e.space("ya"), e.space("yb"), e.space("xa"), e.space("xb"))
+            model = strategy_hv_model(e, strategies, certificate.weights)
+            positive = tuple(f"s{i}" for i, s in enumerate(strategies) if certificate.weights.get(s, 0) > 0)
+            assert model.space("lam").atoms == positive
+            assert len(positive) < len(strategies)
+
+
 def fraction_bound(functional, strategies, ya, yb, contexts):
     """The classical bound as this package computed it before the integer sums:
     a Fraction sum per strategy, maximized over every strategy."""
