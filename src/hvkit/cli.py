@@ -26,8 +26,8 @@ the failing property's report as ``check`` gives it, or null}.
 ``hvkit.quantumgen.MAX_SINGLET_ATOMS`` = 40,000 atoms (|angles_a| x
 |angles_b| x 4), before it writes ``--out``.  ``determinize --method
 local`` refuses an output of more than
-``hvkit.determinize.MAX_DETERMINIZED_ATOMS`` = 100,000 atoms or hidden
-labels, before any fiber product is built and before it writes ``--out``.
+``hvkit.determinize.MAX_DETERMINIZED_ATOMS`` = 100,000 atoms, before
+any fiber product is built and before it writes ``--out``.
 """
 
 from __future__ import annotations

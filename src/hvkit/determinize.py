@@ -10,7 +10,9 @@ Three constructions live here:
 * :func:`determinize_local` turns any local, setting-independent model
   into an equivalent strongly deterministic, setting-independent one by
   splitting each party's unit interval of randomness into subintervals
-  whose lengths are the party's outcome conditionals.
+  whose lengths are the party's outcome conditionals.  Its new hidden
+  value is a triple (lam, cell_a, cell_b) of a positive lam and one such
+  cell per party, built as one coordinate.
 
 The unit-interval factor is represented exactly: each (own setting, lam)
 row is the tuple of its rational interval endpoints, and the ``(lo, hi)``
@@ -35,13 +37,12 @@ from .measure import (
     FiniteMeasure,
     FiniteSpace,
     ProductLayout,
+    _derived,
     _join_labels,
     conditional,
-    fuse_factors,
     marginal,
     point_mass,
     product,
-    reorder,
 )
 from .models import EmpiricalModel, HVModel, LAM, XA, XB, YA, YB, equivalent
 from .properties import check_lambda_independence, check_locality, check_strong_determinism
@@ -51,8 +52,10 @@ _PARTY_COORDS = {"a": (XA, YA), "b": (XB, YB)}
 
 Rows = Mapping[Atom, tuple[Fraction, ...]]
 
-# Most atoms, and most hidden labels, determinize_local builds.  A 90,720-atom
-# output (3 x 3 settings, 3 outcomes, 7 lam) took 13 s and 296 MB on a 2-CPU machine.
+# Most atoms determinize_local builds.  It lists hidden labels only for positive
+# lam, each of which has a positive (ya, yb) under lam-independence, so there are
+# no more labels than atoms.  A 90,720-atom output (3 x 3 settings, 3 outcomes,
+# 7 lam) took 3.4 s and 153 MB on a 2-CPU machine (median of 5 runs).
 MAX_DETERMINIZED_ATOMS = 100_000
 
 
@@ -130,26 +133,43 @@ def determinize_empirical(e: EmpiricalModel) -> HVModel:
     return HVModel(joined)
 
 
-def _interval_side(p: HVModel, rows: Rows, cells: RefinedCellSpace) -> tuple[FiniteMeasure, FiniteMeasure]:
-    """One party's cell-length measure and its coupling of outcome to (own setting, lam, cell)."""
-    outcome_coord, setting_coord = _PARTY_COORDS[cells.party]
-    last = len(cells.cells) - 1
-    labels = tuple(f"[{lo},{hi}{']' if i == last else ')'}" for i, (lo, hi) in enumerate(cells.cells))
-    cell_space = FiniteSpace(f"cell_{cells.party}", labels)
-    lengths = FiniteMeasure(
-        ProductLayout((cell_space,)), {(label,): hi - lo for label, (lo, hi) in zip(labels, cells.cells)}
-    )
+# Per positive lam, its new hidden values (lam, cell_a, cell_b) in canonical
+# order: each one's joined label, its (Alice's, Bob's) cell index, and |cell_a| |cell_b|.
+Triples = Mapping[str, list[tuple[str, tuple[int, int], Fraction]]]
 
+
+def _hidden_values(p: HVModel, cells_a: RefinedCellSpace, cells_b: RefinedCellSpace) -> tuple[FiniteSpace, Triples]:
+    """The new hidden space, one label per positive lam and cell pair, and each lam's triples."""
+    names_a, names_b = ([f"[{lo},{hi}{']' if hi == ONE else ')'}" for lo, hi in c.cells] for c in (cells_a, cells_b))
+    pairs = [
+        ((i, j), (a_hi - a_lo) * (b_hi - b_lo))
+        for i, (a_lo, a_hi) in enumerate(cells_a.cells)
+        for j, (b_lo, b_hi) in enumerate(cells_b.cells)
+    ]
+    triples = {
+        lam: [(_join_labels((lam, names_a[i], names_b[j])), (i, j), area) for (i, j), area in pairs]
+        for (lam,) in marginal(p.measure, (LAM,)).weights
+    }
+    return FiniteSpace(LAM, tuple(label for values in triples.values() for label, _, _ in values)), triples
+
+
+def _coupling(p: HVModel, rows: Rows, cells: RefinedCellSpace, lam_space: FiniteSpace, triples: Triples) -> FiniteMeasure:
+    """One party's coupling of outcome to (own setting, new lam), where its own cell fixes the outcome.
+
+    (own setting, (lam, cell_a, cell_b)) has mass P(own setting, lam) |cell_a| |cell_b|.
+    """
+    outcome_coord, setting_coord = _PARTY_COORDS[cells.party]
+    own = "ab".index(cells.party)
     outcomes = p.space(outcome_coord).atoms
-    setting_lam_mass = marginal(p.measure, (setting_coord, LAM))
+    setting_lam_mass = marginal(p.measure, (setting_coord, LAM)).weights
     weights: dict[Atom, Fraction] = {}
-    for given, ends in rows.items():
-        mass = setting_lam_mass.weight(given)
-        for label, (lo, hi) in zip(labels, cells.cells):
-            # the first interval reaching hi holds the whole cell, so it is not empty
-            weights[(outcomes[bisect_left(ends, hi)],) + given + (label,)] = mass * (hi - lo)
-    layout = ProductLayout((p.space(outcome_coord), p.space(setting_coord), p.space(LAM), cell_space))
-    return lengths, FiniteMeasure(layout, weights)
+    for (setting, lam), ends in rows.items():
+        mass = setting_lam_mass[(setting, lam)]
+        # the first interval reaching a cell's hi holds the whole cell, so it is not empty
+        cell_outcomes = [outcomes[bisect_left(ends, hi)] for _, hi in cells.cells]
+        for label, cell_pair, area in triples[lam]:
+            weights[(cell_outcomes[cell_pair[own]], setting, label)] = mass * area
+    return _derived(ProductLayout((p.space(outcome_coord), p.space(setting_coord), lam_space)), weights)
 
 
 def determinize_local(p: HVModel) -> HVModel:
@@ -157,15 +177,16 @@ def determinize_local(p: HVModel) -> HVModel:
 
     Requires locality and independence of the hidden variable from the
     settings (checked; the failing report rides on the error).  The new
-    hidden space is the product of the old one with one randomness cell
-    per party; the construction follows the interval-splitting recipe and
-    verifies its own postconditions on every call.  Two fiber products
-    build it from the base r_bar of settings, lam and both cells: Alice's
-    coupling of outcome to (own setting, lam, cell) over r_bar, then Bob's
+    hidden value is a triple (lam, cell_a, cell_b) of a positive lam and
+    one randomness cell per party, labelled ``"<lam>|<cell_a>|<cell_b>"``;
+    the construction follows the interval-splitting recipe and verifies
+    its own postconditions on every call.  Two fiber products build it
+    from the base r_bar of settings and new hidden values: Alice's
+    coupling of outcome to (own setting, new lam) over r_bar, then Bob's
     over that.  A fiber product is unique, so this is the join of both
-    parties' extensions of r_bar over all its coordinates.  Before any fiber
-    product it raises ResourceLimitError if the output would have more
-    atoms or hidden labels than MAX_DETERMINIZED_ATOMS = 100,000.
+    parties' extensions of r_bar over all its coordinates.  Before any
+    fiber product it raises ResourceLimitError if the output would have
+    more atoms than MAX_DETERMINIZED_ATOMS = 100,000.
     """
     locality = check_locality(p)
     if not locality.holds:
@@ -179,32 +200,32 @@ def determinize_local(p: HVModel) -> HVModel:
     rows_a, rows_b = interval_partition(p, "a"), interval_partition(p, "b")
     cells_a, cells_b = refined_cells("a", rows_a), refined_cells("b", rows_b)
     settings_lam = marginal(p.measure, (YA, YB, LAM))
-    # one atom per positive (ya, yb, lam) and cell pair; one label per lam and cell pair
-    cell_pairs = len(cells_a.cells) * len(cells_b.cells)
-    atoms, labels = len(settings_lam.weights) * cell_pairs, len(p.space(LAM)) * cell_pairs
-    if max(atoms, labels) > MAX_DETERMINIZED_ATOMS:
+    # one atom per positive (ya, yb, lam) and cell pair
+    atoms = len(settings_lam.weights) * len(cells_a.cells) * len(cells_b.cells)
+    if atoms > MAX_DETERMINIZED_ATOMS:
         raise ResourceLimitError(
             f"{len(cells_a.cells)} x {len(cells_b.cells)} randomness cells would build {atoms} atoms "
-            f"and {labels} hidden labels, over MAX_DETERMINIZED_ATOMS = {MAX_DETERMINIZED_ATOMS}"
+            f"in all, over MAX_DETERMINIZED_ATOMS = {MAX_DETERMINIZED_ATOMS}"
         )
 
-    lengths_a, coupling_a = _interval_side(p, rows_a, cells_a)
-    lengths_b, coupling_b = _interval_side(p, rows_b, cells_b)
-
+    lam_space, triples = _hidden_values(p, cells_a, cells_b)
     # randomness cells are independent of everything else
-    r_bar = product(product(settings_lam, lengths_a), lengths_b)
-
-    # each party's outcome joins over its own setting, lam and cell; a
-    # coupling is deterministic there, so it is q and every row one entry long
-    extended_a = fiber_product(coupling_a, r_bar, over=(YA, LAM, "cell_a"))
-    joined = reorder(
-        fiber_product(coupling_b, extended_a, over=(YB, LAM, "cell_b")),
-        (XA, XB, YA, YB, LAM, "cell_a", "cell_b"),
+    r_bar = _derived(
+        ProductLayout((p.space(YA), p.space(YB), lam_space)),
+        {
+            (ya, yb, label): mass * area
+            for (ya, yb, lam), mass in settings_lam.weights.items()
+            for label, _, area in triples[lam]
+        },
+        canonical=True,
     )
-    # hidden space becomes old-lam x cell_a x cell_b, fused into one
-    # coordinate with labels "<lam>|<cell_a>|<cell_b>"
-    fused = fuse_factors(joined, (LAM, "cell_a", "cell_b"), LAM)
-    result = HVModel(fused)
+    coupling_a = _coupling(p, rows_a, cells_a, lam_space, triples)
+    coupling_b = _coupling(p, rows_b, cells_b, lam_space, triples)
+
+    # each party's outcome joins over its own setting and the new lam; a
+    # coupling is deterministic there, so it is q and every row one entry long
+    extended_a = fiber_product(coupling_a, r_bar, over=(YA, LAM))
+    result = HVModel(fiber_product(coupling_b, extended_a, over=(YB, LAM)))
 
     # self-verification: the construction is intricate enough that silent
     # corruption would be worse than the cost of these checks

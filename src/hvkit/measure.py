@@ -13,14 +13,15 @@ rather than filled in, and "almost surely" throughout the package means
 Measures come from two constructors.  ``FiniteMeasure(layout, weights)``
 is the validated boundary: the parser and the builders go through it,
 and it checks every label, type, sign and duplicate before the sum.
-:func:`marginal`, :func:`reorder`, :func:`product`, :func:`fuse_factors`
-and the fiber product build their results through the derived
-constructor :func:`_derived`, which checks only that the weights sum to
-exactly one.  It cannot admit a bad label: every atom it receives is
-put together from the labels of atoms that an already validated measure
-holds, each kept under the very coordinate that validated it (a fused
-coordinate lists every joined combination of the labels it merges), and
-every weight is a sum, product or quotient of positive exact weights.
+:func:`marginal`, :func:`reorder`, :func:`product`, the fiber product
+and the measures of :func:`hvkit.determinize.determinize_local` build
+their results through the derived constructor :func:`_derived`, which
+checks only that the weights sum to exactly one.  It cannot admit a bad
+label: every atom it receives is put together from the labels of atoms
+that an already validated measure holds, each kept under the very
+coordinate that validated it, or from the labels of a validated
+``FiniteSpace``, and every weight is a sum, product or quotient of
+positive exact weights.
 
 Sums of weights are taken in integers (:func:`_exact_sum`), one sum per
 marginal bin, per conditional cell and row, and per sum check, and each
@@ -34,8 +35,8 @@ Each measure memoizes the results of :func:`marginal` and
 given, so a repeated call returns the first result.  A marginal also
 holds a weak reference to its root: the measure it was taken on, or
 that measure's root when it is itself a marginal.  :func:`reorder`,
-:func:`product`, :func:`fuse_factors` and the fiber product give their
-results no root.  A marginal q keeps its
+:func:`product` and the fiber product give their results no root.  A
+marginal q keeps its
 root's coordinate order and spaces, so for coordinates inside q,
 ``marginal(q, B)`` equals ``marginal(root, B)`` and ``conditional(q, T,
 G)`` equals ``conditional(root, T, G)``, row for row and in the same
@@ -71,7 +72,7 @@ from .rationals import ONE, ZERO, _shown
 
 Atom = tuple[str, ...]
 
-# Joins the labels of the coordinates fuse_factors merges into one.
+# Joins several labels into one, as in the hidden labels the determinizations build.
 LABEL_SEPARATOR = "|"
 _ESCAPE = "\\"
 
@@ -460,32 +461,6 @@ def reorder(p: FiniteMeasure, names: Iterable[str]) -> FiniteMeasure:
     project = _projector(p.layout.positions(names))
     layout = ProductLayout(tuple(p.layout.space(n) for n in names))
     return _derived(layout, {project(atom): w for atom, w in p.weights.items()})
-
-
-def fuse_factors(p: FiniteMeasure, coords: Iterable[str], new_name: str) -> FiniteMeasure:
-    """Merge several coordinates into one whose labels join theirs with :func:`_join_labels`.
-
-    The fused coordinate's atom list is the full cartesian product of the
-    merged factors in canonical order, so zero-weight combinations remain
-    part of the space.  On a finite power-set space this is a pure
-    relabelling: every event is still measurable.
-    """
-    fused = p.layout.ordered(coords)
-    keep = [n for n in p.layout.names if n not in set(fused)]
-    if new_name in keep:
-        raise LayoutError(f"fused name {new_name!r} collides with remaining coordinate")
-    fused_project = _projector(p.layout.positions(fused))
-    keep_project = _projector(p.layout.positions(keep))
-
-    labels = tuple(map(_join_labels, cartesian(*(p.layout.space(n).atoms for n in fused))))
-    layout = ProductLayout(
-        tuple(p.layout.space(n) for n in keep) + (FiniteSpace(new_name, labels),)
-    )
-    weights = {
-        keep_project(atom) + (_join_labels(fused_project(atom)),): w
-        for atom, w in p.weights.items()
-    }
-    return _derived(layout, weights)
 
 
 def point_mass(space: FiniteSpace, label: str) -> FiniteMeasure:

@@ -13,7 +13,8 @@ import hvkit.determinize
 from hvkit.cli import load_model_file, main, save_model_file, serialize_model
 from hvkit.determinize import (
     MAX_DETERMINIZED_ATOMS,
-    _interval_side,
+    _coupling,
+    _hidden_values,
     determinize_empirical,
     determinize_local,
     interval_partition,
@@ -27,8 +28,8 @@ from hvkit.measure import (
     FiniteMeasure,
     FiniteSpace,
     ProductLayout,
+    _join_labels,
     conditional,
-    fuse_factors,
     marginal,
     product,
     reorder,
@@ -40,7 +41,8 @@ from hvkit.properties import (
     check_locality,
     check_strong_determinism,
 )
-from randmodels import rand_dist, rand_empirical, rand_local_lambda_indep
+from hvkit.realizability import enumerate_strategies, local_hvm_exists, strategy_hv_model
+from randmodels import rand_dist, rand_empirical, rand_local_lambda_indep, rand_strategy_mixture
 from test_fiber import oracle_fiber_product
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -70,7 +72,7 @@ class Interval:
 
 
 def oracle_interval_side(p, party):
-    """Reference for ``_interval_side``: one party's cell lengths and coupling
+    """One party's cell lengths and its coupling of outcome to (own setting, lam, cell),
     built from interval objects, each cell's outcome found by a containment scan."""
     outcome_coord, setting_coord = {"a": ("xa", "ya"), "b": ("xb", "yb")}[party]
     kernel = conditional(p.measure, (outcome_coord,), (setting_coord, LAM))
@@ -103,6 +105,34 @@ def oracle_interval_side(p, party):
     return lengths, FiniteMeasure(layout, weights)
 
 
+def fuse_factors(p, coords, new_name):
+    """Merge several coordinates into one whose labels join theirs with ``_join_labels``.
+
+    The fused coordinate lists the full cartesian product of the merged
+    factors in canonical order, zero-weight combinations included.
+    """
+    fused = p.layout.ordered(coords)
+    keep = [n for n in p.layout.names if n not in fused]
+    fused_pos, keep_pos = p.layout.positions(fused), p.layout.positions(keep)
+    labels = tuple(map(_join_labels, cartesian(*(p.layout.space(n).atoms for n in fused))))
+    layout = ProductLayout(tuple(p.layout.space(n) for n in keep) + (FiniteSpace(new_name, labels),))
+    weights = {
+        tuple(atom[i] for i in keep_pos) + (_join_labels(tuple(atom[i] for i in fused_pos)),): w
+        for atom, w in p.weights.items()
+    }
+    return FiniteMeasure(layout, weights)
+
+
+def oracle_coupling(p, party):
+    """Reference for ``_coupling``: the interval-object coupling times the other
+    party's cell lengths, with (lam, cell_a, cell_b) fused into lam."""
+    _, coupling = oracle_interval_side(p, party)
+    other_lengths, _ = oracle_interval_side(p, "b" if party == "a" else "a")
+    outcome, setting = coupling.layout.names[:2]
+    joined = reorder(product(coupling, other_lengths), (outcome, setting, LAM, "cell_a", "cell_b"))
+    return fuse_factors(joined, (LAM, "cell_a", "cell_b"), LAM)
+
+
 def rand_sparse_local(rng):
     """A local, lam-independent model with 1-3 settings and 2-4 outcomes per party.
 
@@ -126,10 +156,11 @@ def rand_sparse_local(rng):
     return hv_model(xs, xs, ys, ys, lam, weights)
 
 
-def coin_mixture(a_zero, b_zero, idle_lam=0):
+def coin_mixture(a_zero, b_zero, idle_lam=0, lam=None):
     """One setting per party; under lam i Alice says 0 with probability
-    a_zero[i] and Bob with b_zero[i].  ``idle_lam`` more lam labels carry no mass."""
-    lam = tuple(f"l{i}" for i in range(len(a_zero) + idle_lam))
+    a_zero[i] and Bob with b_zero[i].  ``idle_lam`` more lam labels carry no
+    mass.  ``lam`` gives the labels, ``l0``, ``l1``, ... by default."""
+    lam = lam or tuple(f"l{i}" for i in range(len(a_zero) + idle_lam))
     share = Fraction(1, len(a_zero))
     weights = {}
     for l, a, b in zip(lam, a_zero, b_zero):
@@ -369,20 +400,21 @@ class TestDeterminizeLocal:
 
 
 class TestEndpointOracle:
-    def test_interval_side_matches_interval_objects(self):
+    def test_coupling_matches_interval_objects(self):
         rng = random.Random(6)
         zero_conditionals = shared_endpoints = 0
         for _ in range(200):
             p = rand_sparse_local(rng)
+            rows = {party: interval_partition(p, party) for party in "ab"}
+            cells = {party: refined_cells(party, rows[party]) for party in "ab"}
+            lam_space, triples = _hidden_values(p, cells["a"], cells["b"])
             for party in "ab":
-                rows = interval_partition(p, party)
-                lengths, coupling = _interval_side(p, rows, refined_cells(party, rows))
-                want_lengths, want_coupling = oracle_interval_side(p, party)
-                assert lengths == want_lengths
-                assert coupling.layout == want_coupling.layout
-                assert list(coupling.weights.items()) == list(want_coupling.weights.items())
-                zero_conditionals += any(a == b for ends in rows.values() for a, b in zip((0,) + ends, ends))
-                inner = [set(ends) - {0, 1} for ends in rows.values()]
+                coupling = _coupling(p, rows[party], cells[party], lam_space, triples)
+                want = oracle_coupling(p, party)
+                assert coupling.layout == want.layout
+                assert list(coupling.weights.items()) == list(want.weights.items())
+                zero_conditionals += any(a == b for ends in rows[party].values() for a, b in zip((0,) + ends, ends))
+                inner = [set(ends) - {0, 1} for ends in rows[party].values()]
                 shared_endpoints += any(a & b for i, a in enumerate(inner) for b in inner[i + 1:])
         # the suite exercises both cases the endpoint lookup must get right
         assert zero_conditionals > 50 and shared_endpoints > 50
@@ -414,16 +446,19 @@ class TestFiberOracleEndToEnd:
 
 
 def oracle_determinize_local(p):
-    """The three-fiber-product body determinize_local had before, kept as a reference.
+    """The three-fiber-product construction with cell coordinates, kept as a reference.
 
-    Each party's coupling extends r_bar on its own, and the two extensions
-    are joined over all five of r_bar's coordinates.  The fiber products
-    come from the reference in test_fiber.  The prechecks, the size cap and
-    the self-verification are left out.
+    The two cells are coordinates of their own: r_bar is the product of
+    the settings and lam with both parties' cell lengths, each party's
+    coupling extends r_bar on its own, the two extensions are joined over
+    all five of r_bar's coordinates, and (lam, cell_a, cell_b) is fused
+    into lam at the end.  The fused coordinate lists every lam label, so
+    this matches determinize_local only on inputs whose lam labels all
+    carry mass.  The fiber products come from the reference in test_fiber.
+    The prechecks, the size cap and the self-verification are left out.
     """
-    rows_a, rows_b = interval_partition(p, "a"), interval_partition(p, "b")
-    lengths_a, coupling_a = _interval_side(p, rows_a, refined_cells("a", rows_a))
-    lengths_b, coupling_b = _interval_side(p, rows_b, refined_cells("b", rows_b))
+    lengths_a, coupling_a = oracle_interval_side(p, "a")
+    lengths_b, coupling_b = oracle_interval_side(p, "b")
     r_bar = product(product(marginal(p.measure, ("ya", "yb", LAM)), lengths_a), lengths_b)
     extended_a = oracle_fiber_product(coupling_a, r_bar, over=("ya", LAM, "cell_a"))
     extended_b = oracle_fiber_product(coupling_b, r_bar, over=("yb", LAM, "cell_b"))
@@ -447,7 +482,7 @@ class TestThreeProductOracle:
         with monkeypatch.context() as patched:
             patched.setattr(hvkit.determinize, "fiber_product", counting)
             got = serialize_model(determinize_local(model))
-        assert calls == [("ya", LAM, "cell_a"), ("yb", LAM, "cell_b")]
+        assert calls == [("ya", LAM), ("yb", LAM)]
         fresh = type(model)(FiniteMeasure(model.measure.layout, dict(model.measure.weights)))
         assert got == serialize_model(oracle_determinize_local(fresh))
 
@@ -467,9 +502,68 @@ class TestThreeProductOracle:
         for model in local:
             self.assert_same_bytes(monkeypatch, model)
 
+    def test_lam_labels_holding_the_separator_get_distinct_hidden_labels(self, monkeypatch):
+        # each lam label is escaped inside its hidden labels, as _join_labels escapes
+        lam = ("a|b", "a", "x\\", "\\|y")
+        model = coin_mixture([HALF, 1, THIRD, 1], [1, HALF, 1, Fraction(1, 4)], lam=lam)
+        self.assert_same_bytes(monkeypatch, model)
+        labels = determinize_local(model).space(LAM).atoms
+        # Alice's cells split at 1/3 and 1/2, Bob's at 1/4 and 1/2
+        assert len(set(labels)) == len(labels) == 4 * 3 * 3
+        assert labels[:2] == ("a\\|b|[0,1/3)|[0,1/4)", "a\\|b|[0,1/3)|[1/4,1/2)")
+        assert labels[-1] == "\\\\\\|y|[1/2,1]|[1/2,1]"
+        rng = random.Random(62)
+        for _ in range(10):
+            p = rand_local_lambda_indep(rng)
+            relabel = dict(zip(p.space(LAM).atoms, lam))
+            weights = {atom[:4] + (relabel[atom[4]],): w for atom, w in p.measure.weights.items()}
+            names = [p.space(n).atoms for n in ("xa", "xb", "ya", "yb")]
+            self.assert_same_bytes(monkeypatch, hv_model(*names, lam[: len(relabel)], weights))
+
+
+class TestFineOracle:
+    """Fine's theorem: a strategy mixture's model determinizes to itself, one cell per party."""
+
+    def test_strategy_models_keep_their_mixture(self):
+        rng = random.Random(63)
+        for _ in range(30):
+            e = rand_strategy_mixture(rng).empirical()
+            feasible, certificate = local_hvm_exists(e)
+            assert feasible
+            strategies = enumerate_strategies(e.space("ya"), e.space("yb"), e.space("xa"), e.space("xb"))
+            model = strategy_hv_model(e, strategies, certificate.weights)
+            out = determinize_local(model)
+            for party in "ab":
+                assert refined_cells(party, interval_partition(model, party)).cells == ((0, 1),)
+            suffix = "|[0,1]|[0,1]"
+            assert out.space(LAM).atoms == tuple(label + suffix for label in model.space(LAM).atoms)
+            assert out.measure.weights == {
+                atom[:4] + (atom[4] + suffix,): w for atom, w in model.measure.weights.items()
+            }
+
+
+class TestConstructionGuard:
+    def test_builds_no_product_reorder_or_validated_measure(self, monkeypatch):
+        # every measure determinize_local builds goes through _derived or fiber_product
+        layouts, real = [], hvkit.determinize.fiber_product
+
+        def recording(q, r, over):
+            layouts.extend((q.layout.names, r.layout.names))
+            return real(q, r, over)
+
+        for name in ("product", "reorder", "FiniteMeasure"):
+            monkeypatch.setattr(hvkit.determinize, name, unreached, raising=False)
+        monkeypatch.setattr(hvkit.determinize, "fiber_product", recording)
+        rng = random.Random(64)
+        models = [rand_local_lambda_indep(rng) for _ in range(10)] + [rand_sparse_local(rng) for _ in range(10)]
+        for model in models:
+            assert equivalent(determinize_local(model), model)
+        assert len(layouts) == 2 * 2 * len(models)
+        assert all(set(names) <= {"xa", "xb", "ya", "yb", LAM} for names in layouts)
+
 
 class TestOutputCap:
-    """Over MAX_DETERMINIZED_ATOMS atoms or hidden labels, nothing is built."""
+    """Over MAX_DETERMINIZED_ATOMS atoms, nothing is built."""
 
     def atoms_model(self, lam_count):
         # 39 distinct inner endpoints for Alice and 49 for Bob: 40 x 50 cells
@@ -487,14 +581,14 @@ class TestOutputCap:
         with pytest.raises(ResourceLimitError, match=f"{over * 40 * 50} atoms .* MAX_DETERMINIZED_ATOMS"):
             determinize_local(self.atoms_model(over))
 
-    def test_hidden_label_count(self, monkeypatch):
-        # deterministic, so one cell per party; idle lam labels still get one each
-        monkeypatch.setattr(hvkit.determinize, "fiber_product", unreached)
-        with pytest.raises(Unreached):
-            determinize_local(coin_mixture([1], [1], idle_lam=MAX_DETERMINIZED_ATOMS - 1))
-        over = MAX_DETERMINIZED_ATOMS + 1
-        with pytest.raises(ResourceLimitError, match=f"{over} hidden labels"):
-            determinize_local(coin_mixture([1], [1], idle_lam=MAX_DETERMINIZED_ATOMS))
+    def test_hidden_label_count(self):
+        # deterministic, so one cell per party; idle lam labels get no hidden label
+        p = coin_mixture([1], [1], idle_lam=MAX_DETERMINIZED_ATOMS)
+        assert len(p.space(LAM)) == MAX_DETERMINIZED_ATOMS + 1
+        out = determinize_local(p)
+        assert out.space(LAM).atoms == ("l0|[0,1]|[0,1]",)
+        assert out.measure.weights == {("0", "0", "y", "y", "l0|[0,1]|[0,1]"): 1}
+        assert equivalent(out, p)
 
     def test_cli_refusal_is_one_line(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(hvkit.determinize, "fiber_product", unreached)

@@ -7,22 +7,23 @@ import threading
 import weakref
 from fractions import Fraction
 from itertools import combinations
-from itertools import product as product_of
 from math import gcd
 
 import pytest
 
+import hvkit.determinize as determinize_module
 import hvkit.fiber as fiber_module
 import hvkit.measure as measure_module
+from hvkit.determinize import determinize_local
 from hvkit.errors import DomainError, LayoutError
 from hvkit.fiber import fiber_product
+from hvkit.fixtures import fair_coin_product_model
 from hvkit.measure import (
     FiniteMeasure,
     FiniteSpace,
     ProductLayout,
     _join_labels,
     conditional,
-    fuse_factors,
     marginal,
     measures_equal,
     point_mass,
@@ -349,7 +350,6 @@ class TestRootSharing:
         for derived in (
             reorder(p, names[::-1]),
             product(p, q),
-            fuse_factors(p, names[1:], "joint"),
             fiber_product(marginal(p, names[:2]), marginal(p, names[1:]), names[1:2]),
         ):
             assert derived._root is None
@@ -420,36 +420,13 @@ class TestEquality:
             measures_equal(p, q)
 
 
-class TestReorderAndFuse:
+class TestReorderAndJoin:
     def test_reorder_round_trip(self):
         rng = random.Random(3)
         p = rand_measure(rng, (2, 3, 2))
         q = reorder(p, ("c2", "c0", "c1"))
         assert q.layout.names == ("c2", "c0", "c1")
         assert measures_equal(reorder(q, ("c0", "c1", "c2")), p)
-
-    def test_fuse_preserves_mass(self):
-        rng = random.Random(4)
-        p = rand_measure(rng, (2, 2, 3))
-        fused = fuse_factors(p, ("c1", "c2"), "joint")
-        assert fused.layout.names == ("c0", "joint")
-        assert len(fused.layout.space("joint")) == 6
-        # mass per fused label matches the pair it came from
-        for (c0, c1, c2), w in p.weights.items():
-            assert fused.weight((c0, f"{c1}|{c2}")) == w
-
-    def test_fuse_gives_distinct_combinations_distinct_labels(self):
-        # plain joining would label both ("a|b", "c") and ("a", "b|c") "a|b|c"
-        layout = ProductLayout(
-            (FiniteSpace("c0", ("a|b", "a", "x\\")), FiniteSpace("c1", ("c", "b|c", "\\|y")))
-        )
-        atoms = list(layout.atoms())
-        p = FiniteMeasure(layout, {atom: Fraction(1, len(atoms)) for atom in atoms})
-        fused = fuse_factors(p, ("c0", "c1"), "joint")
-        labels = fused.layout.space("joint").atoms
-        assert len(set(labels)) == len(atoms)
-        assert sorted(fused.weights) == sorted((label,) for label in labels)
-        assert labels[:2] == ("a\\|b|c", "a\\|b|b\\|c")
 
     def test_join_labels_keeps_plain_labels_and_escapes_the_rest(self):
         assert _join_labels(("0", "[0,1/2)", "l0")) == "0|[0,1/2)|l0"
@@ -637,19 +614,6 @@ def oracle_reorder(m, names):
     return _oracle_sorted(new_layout, {tuple(atom[i] for i in positions): w for atom, w in weights.items()})
 
 
-def oracle_fuse_factors(m, coords, new_name):
-    layout, weights = m
-    fused = layout.ordered(coords)
-    keep = [n for n in layout.names if n not in fused]
-    labels = tuple("|".join(combo) for combo in product_of(*(layout.space(n).atoms for n in fused)))
-    new_layout = ProductLayout(tuple(layout.space(n) for n in keep) + (FiniteSpace(new_name, labels),))
-    f_pos, k_pos = layout.positions(fused), layout.positions(keep)
-    return _oracle_sorted(
-        new_layout,
-        {tuple(atom[i] for i in k_pos) + ("|".join(atom[i] for i in f_pos),): w for atom, w in weights.items()},
-    )
-
-
 def oracle_fiber_product(q, r, over):
     z_names = q[0].ordered(over)
     x_names = tuple(n for n in q[0].names if n not in z_names)
@@ -735,7 +699,7 @@ class TestIntegerKernels:
             table = [(g, list(row.items())) for g, row in k.table.items()]
             assert table == oracle_conditional(oracle, first, m.layout.names[1:])
 
-    def test_product_reorder_and_fuse(self):
+    def test_product_and_reorder(self):
         rng = random.Random(43)
         for p in self.rand_measures(44, 20):
             names = p.layout.names
@@ -744,9 +708,6 @@ class TestIntegerKernels:
             assert_same_measure(product(q, p), oracle_product(pair(q), pair(p)))
             shuffled = tuple(rng.sample(names, len(names)))
             assert_same_measure(reorder(p, shuffled), oracle_reorder(pair(p), shuffled))
-            for coords in nonempty_subsets(names):
-                fused = fuse_factors(p, coords, "joint")
-                assert_same_measure(fused, oracle_fuse_factors(pair(p), coords, "joint"))
 
     def test_fiber_product(self):
         for p in self.rand_measures(45, 20):
@@ -781,12 +742,17 @@ class TestDerivedSumCheck:
             lambda: marginal(p, ("c0", "c2")),
             lambda: reorder(p, ("c2", "c1", "c0")),
             lambda: product(p, q),
-            lambda: fuse_factors(p, ("c1", "c2"), "joint"),
         ]
         for call in calls:
             with pytest.raises(DomainError, match="sum to exactly 1"):
                 call()
         assert p._memo == memo
+
+    def test_a_determinization_that_drops_an_atom_is_refused(self, monkeypatch):
+        model = fair_coin_product_model()
+        self.drop_first_atom(monkeypatch, determinize_module)
+        with pytest.raises(DomainError, match="sum to exactly 1"):
+            determinize_local(model)
 
     def test_a_call_that_raises_leaves_no_memo_entry(self, monkeypatch):
         p = rand_measure(random.Random(48), (2, 3, 2))
