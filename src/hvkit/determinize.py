@@ -12,7 +12,9 @@ Three constructions live here:
   splitting each party's unit interval of randomness into subintervals
   whose lengths are the party's outcome conditionals.  Its new hidden
   value is a triple (lam, cell_a, cell_b) of a positive lam and one such
-  cell per party, built as one coordinate.
+  cell per party, built as one coordinate, and the model is one fiber
+  product of the two parties' deterministic extensions over the settings
+  and that coordinate.
 
 The unit-interval factor is represented exactly: each (own setting, lam)
 row is the tuple of its rational interval endpoints, and the ``(lo, hi)``
@@ -55,7 +57,7 @@ Rows = Mapping[Atom, tuple[Fraction, ...]]
 # Most atoms determinize_local builds.  It lists hidden labels only for positive
 # lam, each of which has a positive (ya, yb) under lam-independence, so there are
 # no more labels than atoms.  A 90,720-atom output (3 x 3 settings, 3 outcomes,
-# 7 lam) took 3.4 s and 153 MB on a 2-CPU machine (median of 5 runs).
+# 7 lam) took 4.9 s and 151 MB on a shared 2-CPU machine (median of 11 runs).
 MAX_DETERMINIZED_ATOMS = 100_000
 
 
@@ -124,10 +126,7 @@ def determinize_empirical(e: EmpiricalModel) -> HVModel:
     )
     diagonal = FiniteMeasure(
         diag_layout,
-        {
-            (xa, xb, _join_labels((xa, xb))): w
-            for (xa, xb), w in outcome_dist.weights.items()
-        },
+        {(xa, xb, tag): w for tag, ((xa, xb), w) in zip(tags, outcome_dist.weights.items())},
     )
     joined = fiber_product(diagonal, e.measure, over=(XA, XB))
     return HVModel(joined)
@@ -153,23 +152,26 @@ def _hidden_values(p: HVModel, cells_a: RefinedCellSpace, cells_b: RefinedCellSp
     return FiniteSpace(LAM, tuple(label for values in triples.values() for label, _, _ in values)), triples
 
 
-def _coupling(p: HVModel, rows: Rows, cells: RefinedCellSpace, lam_space: FiniteSpace, triples: Triples) -> FiniteMeasure:
-    """One party's coupling of outcome to (own setting, new lam), where its own cell fixes the outcome.
+def _extension(
+    p: HVModel, settings_lam: FiniteMeasure, rows: Rows, cells: RefinedCellSpace, lam_space: FiniteSpace, triples: Triples
+) -> FiniteMeasure:
+    """One party's deterministic extension: a measure on (outcome, ya, yb, new lam).
 
-    (own setting, (lam, cell_a, cell_b)) has mass P(own setting, lam) |cell_a| |cell_b|.
+    (ya, yb, (lam, cell_a, cell_b)) has mass P(ya, yb, lam) |cell_a| |cell_b|,
+    and the outcome is the one whose interval in row (own setting, lam)
+    holds the party's own cell.
     """
-    outcome_coord, setting_coord = _PARTY_COORDS[cells.party]
+    outcome_coord, _ = _PARTY_COORDS[cells.party]
     own = "ab".index(cells.party)
     outcomes = p.space(outcome_coord).atoms
-    setting_lam_mass = marginal(p.measure, (setting_coord, LAM)).weights
+    # the first interval reaching a cell's hi holds the whole cell, so it is not empty
+    cell_outcomes = {given: [outcomes[bisect_left(ends, hi)] for _, hi in cells.cells] for given, ends in rows.items()}
     weights: dict[Atom, Fraction] = {}
-    for (setting, lam), ends in rows.items():
-        mass = setting_lam_mass[(setting, lam)]
-        # the first interval reaching a cell's hi holds the whole cell, so it is not empty
-        cell_outcomes = [outcomes[bisect_left(ends, hi)] for _, hi in cells.cells]
+    for (ya, yb, lam), mass in settings_lam.weights.items():
+        row = cell_outcomes[((ya, yb)[own], lam)]
         for label, cell_pair, area in triples[lam]:
-            weights[(cell_outcomes[cell_pair[own]], setting, label)] = mass * area
-    return _derived(ProductLayout((p.space(outcome_coord), p.space(setting_coord), lam_space)), weights)
+            weights[(row[cell_pair[own]], ya, yb, label)] = mass * area
+    return _derived(ProductLayout((p.space(outcome_coord), p.space(YA), p.space(YB), lam_space)), weights)
 
 
 def determinize_local(p: HVModel) -> HVModel:
@@ -180,13 +182,14 @@ def determinize_local(p: HVModel) -> HVModel:
     hidden value is a triple (lam, cell_a, cell_b) of a positive lam and
     one randomness cell per party, labelled ``"<lam>|<cell_a>|<cell_b>"``;
     the construction follows the interval-splitting recipe and verifies
-    its own postconditions on every call.  Two fiber products build it
-    from the base r_bar of settings and new hidden values: Alice's
-    coupling of outcome to (own setting, new lam) over r_bar, then Bob's
-    over that.  A fiber product is unique, so this is the join of both
-    parties' extensions of r_bar over all its coordinates.  Before any
-    fiber product it raises ResourceLimitError if the output would have
-    more atoms than MAX_DETERMINIZED_ATOMS = 100,000.
+    its own postconditions on every call.  One fiber product builds it:
+    each party's deterministic extension on (outcome, ya, yb, new lam),
+    where the party's own cell fixes its outcome, joined over
+    (ya, yb, new lam).  Alice's extension has one atom per (ya, yb, new
+    lam), so each weight is Bob's as it stands, and the result already
+    runs in model order (xa, xb, ya, yb, lam).  Before any fiber product
+    it raises ResourceLimitError if the output would have more atoms than
+    MAX_DETERMINIZED_ATOMS = 100,000.
     """
     locality = check_locality(p)
     if not locality.holds:
@@ -210,22 +213,9 @@ def determinize_local(p: HVModel) -> HVModel:
 
     lam_space, triples = _hidden_values(p, cells_a, cells_b)
     # randomness cells are independent of everything else
-    r_bar = _derived(
-        ProductLayout((p.space(YA), p.space(YB), lam_space)),
-        {
-            (ya, yb, label): mass * area
-            for (ya, yb, lam), mass in settings_lam.weights.items()
-            for label, _, area in triples[lam]
-        },
-        canonical=True,
-    )
-    coupling_a = _coupling(p, rows_a, cells_a, lam_space, triples)
-    coupling_b = _coupling(p, rows_b, cells_b, lam_space, triples)
-
-    # each party's outcome joins over its own setting and the new lam; a
-    # coupling is deterministic there, so it is q and every row one entry long
-    extended_a = fiber_product(coupling_a, r_bar, over=(YA, LAM))
-    result = HVModel(fiber_product(coupling_b, extended_a, over=(YB, LAM)))
+    extended_a = _extension(p, settings_lam, rows_a, cells_a, lam_space, triples)
+    extended_b = _extension(p, settings_lam, rows_b, cells_b, lam_space, triples)
+    result = HVModel(fiber_product(extended_a, extended_b, over=(YA, YB, LAM)))
 
     # self-verification: the construction is intricate enough that silent
     # corruption would be worse than the cost of these checks

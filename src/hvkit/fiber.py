@@ -10,7 +10,7 @@ shared marginal.
 input by its shared part z, so it builds no intermediate measure: the
 row sums are the shared marginal on each side, compared in integers,
 and each entry of q's row is joined with each entry of r's.  Where a row
-of q has a single entry, as when q is a party's deterministic coupling in
+of q has a single entry, as when q is a party's deterministic extension in
 :func:`hvkit.determinize.determinize_local`, r's weight is the result's
 weight as it stands, so no new rational is formed.
 
@@ -116,8 +116,8 @@ def fiber_product(q: FiniteMeasure, r: FiniteMeasure, over) -> FiniteMeasure:
     Each entry v of q's row and w of r's row give the weight v w / s(z),
     one ``Fraction`` from integer products.  A row of q with one entry
     holds s(z) itself, so there r's weight is kept as it stands; passing
-    the input with fewer atoms per z as q, such as a deterministic
-    coupling, makes every row one entry long.
+    the input with fewer atoms per z as q, such as a party's
+    deterministic extension, makes every row one entry long.
     """
     x_names, y_names, z_names = _split_coords(q, r, over)
     rows, r_rows, s = _check_shared_marginal(q, r, z_names)

@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import hvkit.determinize
+import hvkit.models
 from hvkit.cli import load_model_file, main, save_model_file, serialize_model
 from hvkit.determinize import (
     MAX_DETERMINIZED_ATOMS,
-    _coupling,
+    _extension,
     _hidden_values,
     determinize_empirical,
     determinize_local,
@@ -121,16 +122,6 @@ def fuse_factors(p, coords, new_name):
         for atom, w in p.weights.items()
     }
     return FiniteMeasure(layout, weights)
-
-
-def oracle_coupling(p, party):
-    """Reference for ``_coupling``: the interval-object coupling times the other
-    party's cell lengths, with (lam, cell_a, cell_b) fused into lam."""
-    _, coupling = oracle_interval_side(p, party)
-    other_lengths, _ = oracle_interval_side(p, "b" if party == "a" else "a")
-    outcome, setting = coupling.layout.names[:2]
-    joined = reorder(product(coupling, other_lengths), (outcome, setting, LAM, "cell_a", "cell_b"))
-    return fuse_factors(joined, (LAM, "cell_a", "cell_b"), LAM)
 
 
 def rand_sparse_local(rng):
@@ -400,19 +391,24 @@ class TestDeterminizeLocal:
 
 
 class TestEndpointOracle:
-    def test_coupling_matches_interval_objects(self):
+    def test_extension_matches_interval_objects(self):
         rng = random.Random(6)
         zero_conditionals = shared_endpoints = 0
         for _ in range(200):
             p = rand_sparse_local(rng)
+            # the oracle lists every lam label, so it matches only where all carry mass
+            assert len(marginal(p.measure, (LAM,)).weights) == len(p.space(LAM))
+            # a fresh copy, so the oracle reads nothing from p's memo
+            oracle = oracle_determinize_local(HVModel(FiniteMeasure(p.measure.layout, dict(p.measure.weights))))
             rows = {party: interval_partition(p, party) for party in "ab"}
             cells = {party: refined_cells(party, rows[party]) for party in "ab"}
+            settings_lam = marginal(p.measure, ("ya", "yb", LAM))
             lam_space, triples = _hidden_values(p, cells["a"], cells["b"])
             for party in "ab":
-                coupling = _coupling(p, rows[party], cells[party], lam_space, triples)
-                want = oracle_coupling(p, party)
-                assert coupling.layout == want.layout
-                assert list(coupling.weights.items()) == list(want.weights.items())
+                extension = _extension(p, settings_lam, rows[party], cells[party], lam_space, triples)
+                want = marginal(oracle.measure, ("x" + party, "ya", "yb", LAM))
+                assert extension.layout == want.layout
+                assert list(extension.weights.items()) == list(want.weights.items())
                 zero_conditionals += any(a == b for ends in rows[party].values() for a, b in zip((0,) + ends, ends))
                 inner = [set(ends) - {0, 1} for ends in rows[party].values()]
                 shared_endpoints += any(a & b for i, a in enumerate(inner) for b in inner[i + 1:])
@@ -470,7 +466,7 @@ def oracle_determinize_local(p):
 
 
 class TestThreeProductOracle:
-    """determinize_local builds two fiber products and writes the bytes the three-product body wrote."""
+    """determinize_local builds one fiber product and writes the bytes the three-product body wrote."""
 
     def assert_same_bytes(self, monkeypatch, model):
         calls, real = [], hvkit.determinize.fiber_product
@@ -482,7 +478,7 @@ class TestThreeProductOracle:
         with monkeypatch.context() as patched:
             patched.setattr(hvkit.determinize, "fiber_product", counting)
             got = serialize_model(determinize_local(model))
-        assert calls == [("ya", LAM), ("yb", LAM)]
+        assert calls == [("ya", "yb", LAM)]
         fresh = type(model)(FiniteMeasure(model.measure.layout, dict(model.measure.weights)))
         assert got == serialize_model(oracle_determinize_local(fresh))
 
@@ -558,8 +554,24 @@ class TestConstructionGuard:
         models = [rand_local_lambda_indep(rng) for _ in range(10)] + [rand_sparse_local(rng) for _ in range(10)]
         for model in models:
             assert equivalent(determinize_local(model), model)
-        assert len(layouts) == 2 * 2 * len(models)
-        assert all(set(names) <= {"xa", "xb", "ya", "yb", LAM} for names in layouts)
+        assert layouts == [("xa", "ya", "yb", LAM), ("xb", "ya", "yb", LAM)] * len(models)
+
+    def test_result_needs_no_reorder(self, monkeypatch):
+        # the fiber product's layout x + y + z is already (xa, xb, ya, yb, lam)
+        permuted, real = [], hvkit.models.reorder
+
+        def recording(p, names):
+            names = tuple(names)
+            if names != p.layout.names:
+                permuted.append((p.layout.names, names))
+            return real(p, names)
+
+        rng = random.Random(65)
+        models = [rand_local_lambda_indep(rng) for _ in range(10)] + [rand_sparse_local(rng) for _ in range(10)]
+        monkeypatch.setattr(hvkit.models, "reorder", recording)
+        for model in models:
+            determinize_local(model)
+        assert permuted == []
 
 
 class TestOutputCap:
