@@ -56,7 +56,7 @@ from .properties import (
     check_weak_determinism,
 )
 from .quantumgen import singlet_joint_probabilities, singlet_model
-from .rationals import Rational, approximate_from_float, rational_from_string, rational_to_string
+from .rationals import approximate_from_float, rational_from_string, rational_to_string
 from .realizability import (
     DeterministicStrategy,
     LocalityCertificate,

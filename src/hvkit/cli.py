@@ -16,9 +16,11 @@ alone writes them: the payload under ``--json``, otherwise the lines.
 
 Exit codes: 0 success / all selected properties hold / feasible;
 1 a property fails, a precondition fails, or the model is infeasible;
-2 bad input (usage error, parse error, domain error, resource cap) or a
-standard output closed before the result was written, always as one
-"error: ..." line on stderr; ``-h`` still prints help and exits 0.
+2 bad input (usage error, parse error, domain error, resource cap), a
+standard output closed before the result was written, or a failed
+internal cross-check (``InternalCheckError``, a bug in hvkit, not in the
+input), always as one "error: ..." line on stderr; ``-h`` still prints
+help and exits 0.
 Under ``--json`` a failed ``determinize --method local`` precondition is
 {"command": "determinize", "precondition_failed": message, "report":
 the failing property's report as ``check`` gives it, or null}.

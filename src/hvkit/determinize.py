@@ -14,7 +14,9 @@ Three constructions live here:
   value is a triple (lam, cell_a, cell_b) of a positive lam and one such
   cell per party, built as one coordinate, and the model is one fiber
   product of the two parties' deterministic extensions over the settings
-  and that coordinate.
+  and that coordinate.  One pass builds both extensions: both carry the
+  same measure on (ya, yb, new lam), so each of its masses is formed once
+  and shared.
 
 The unit-interval factor is represented exactly: each (own setting, lam)
 row is the tuple of its rational interval endpoints, and the ``(lo, hi)``
@@ -57,7 +59,7 @@ Rows = Mapping[Atom, tuple[Fraction, ...]]
 # Most atoms determinize_local builds.  It lists hidden labels only for positive
 # lam, each of which has a positive (ya, yb) under lam-independence, so there are
 # no more labels than atoms.  A 90,720-atom output (3 x 3 settings, 3 outcomes,
-# 7 lam) took 4.9 s and 151 MB on a shared 2-CPU machine (median of 11 runs).
+# 7 lam) took 2.8 s and 153 MB on a shared 2-CPU machine (median of 11 runs).
 MAX_DETERMINIZED_ATOMS = 100_000
 
 
@@ -132,48 +134,6 @@ def determinize_empirical(e: EmpiricalModel) -> HVModel:
     return HVModel(joined)
 
 
-# Per positive lam, its new hidden values (lam, cell_a, cell_b) in canonical
-# order: each one's joined label, its (Alice's, Bob's) cell index, and |cell_a| |cell_b|.
-Triples = Mapping[str, list[tuple[str, tuple[int, int], Fraction]]]
-
-
-def _hidden_values(p: HVModel, cells_a: RefinedCellSpace, cells_b: RefinedCellSpace) -> tuple[FiniteSpace, Triples]:
-    """The new hidden space, one label per positive lam and cell pair, and each lam's triples."""
-    names_a, names_b = ([f"[{lo},{hi}{']' if hi == ONE else ')'}" for lo, hi in c.cells] for c in (cells_a, cells_b))
-    pairs = [
-        ((i, j), (a_hi - a_lo) * (b_hi - b_lo))
-        for i, (a_lo, a_hi) in enumerate(cells_a.cells)
-        for j, (b_lo, b_hi) in enumerate(cells_b.cells)
-    ]
-    triples = {
-        lam: [(_join_labels((lam, names_a[i], names_b[j])), (i, j), area) for (i, j), area in pairs]
-        for (lam,) in marginal(p.measure, (LAM,)).weights
-    }
-    return FiniteSpace(LAM, tuple(label for values in triples.values() for label, _, _ in values)), triples
-
-
-def _extension(
-    p: HVModel, settings_lam: FiniteMeasure, rows: Rows, cells: RefinedCellSpace, lam_space: FiniteSpace, triples: Triples
-) -> FiniteMeasure:
-    """One party's deterministic extension: a measure on (outcome, ya, yb, new lam).
-
-    (ya, yb, (lam, cell_a, cell_b)) has mass P(ya, yb, lam) |cell_a| |cell_b|,
-    and the outcome is the one whose interval in row (own setting, lam)
-    holds the party's own cell.
-    """
-    outcome_coord, _ = _PARTY_COORDS[cells.party]
-    own = "ab".index(cells.party)
-    outcomes = p.space(outcome_coord).atoms
-    # the first interval reaching a cell's hi holds the whole cell, so it is not empty
-    cell_outcomes = {given: [outcomes[bisect_left(ends, hi)] for _, hi in cells.cells] for given, ends in rows.items()}
-    weights: dict[Atom, Fraction] = {}
-    for (ya, yb, lam), mass in settings_lam.weights.items():
-        row = cell_outcomes[((ya, yb)[own], lam)]
-        for label, cell_pair, area in triples[lam]:
-            weights[(row[cell_pair[own]], ya, yb, label)] = mass * area
-    return _derived(ProductLayout((p.space(outcome_coord), p.space(YA), p.space(YB), lam_space)), weights)
-
-
 def determinize_local(p: HVModel) -> HVModel:
     """Equivalent strongly deterministic model for a local, setting-independent one.
 
@@ -182,13 +142,16 @@ def determinize_local(p: HVModel) -> HVModel:
     hidden value is a triple (lam, cell_a, cell_b) of a positive lam and
     one randomness cell per party, labelled ``"<lam>|<cell_a>|<cell_b>"``;
     the construction follows the interval-splitting recipe and verifies
-    its own postconditions on every call.  One fiber product builds it:
-    each party's deterministic extension on (outcome, ya, yb, new lam),
-    where the party's own cell fixes its outcome, joined over
-    (ya, yb, new lam).  Alice's extension has one atom per (ya, yb, new
-    lam), so each weight is Bob's as it stands, and the result already
-    runs in model order (xa, xb, ya, yb, lam).  Before any fiber product
-    it raises ResourceLimitError if the output would have more atoms than
+    its own postconditions on every call.  One pass over the positive
+    (ya, yb, lam) builds each party's deterministic extension on
+    (outcome, ya, yb, new lam), where the party's own cell fixes its
+    outcome: (ya, yb, (lam, cell_a, cell_b)) has mass
+    P(ya, yb, lam) |cell_a| |cell_b| in both, formed once and shared.
+    One fiber product joins them over (ya, yb, new lam).  Alice's
+    extension has one atom per (ya, yb, new lam), so each weight is Bob's
+    as it stands, and the result already runs in model order
+    (xa, xb, ya, yb, lam).  Before any fiber product it raises
+    ResourceLimitError if the output would have more atoms than
     MAX_DETERMINIZED_ATOMS = 100,000.
     """
     locality = check_locality(p)
@@ -211,10 +174,34 @@ def determinize_local(p: HVModel) -> HVModel:
             f"in all, over MAX_DETERMINIZED_ATOMS = {MAX_DETERMINIZED_ATOMS}"
         )
 
-    lam_space, triples = _hidden_values(p, cells_a, cells_b)
-    # randomness cells are independent of everything else
-    extended_a = _extension(p, settings_lam, rows_a, cells_a, lam_space, triples)
-    extended_b = _extension(p, settings_lam, rows_b, cells_b, lam_space, triples)
+    # per (own setting, lam) row, the outcome on each of the party's cells: the
+    # first interval reaching a cell's hi holds the whole cell, so it is not empty
+    outcome_a, outcome_b = (
+        {given: [outcomes[bisect_left(ends, hi)] for _, hi in cells.cells] for given, ends in rows.items()}
+        for rows, cells, outcomes in ((rows_a, cells_a, p.space(XA).atoms), (rows_b, cells_b, p.space(XB).atoms))
+    )
+    names_a, names_b = ([f"[{lo},{hi}{']' if hi == ONE else ')'}" for lo, hi in c.cells] for c in (cells_a, cells_b))
+    pairs = [
+        (i, j, (a_hi - a_lo) * (b_hi - b_lo))
+        for i, (a_lo, a_hi) in enumerate(cells_a.cells)
+        for j, (b_lo, b_hi) in enumerate(cells_b.cells)
+    ]
+    # the new hidden values of each positive lam, in canonical order
+    labels = {
+        lam: [_join_labels((lam, names_a[i], names_b[j])) for i, j, _ in pairs]
+        for (lam,) in marginal(p.measure, (LAM,)).weights
+    }
+    # randomness cells are independent of everything else, so (ya, yb, (lam,
+    # cell_a, cell_b)) has mass P(ya, yb, lam) |cell_a| |cell_b| in both extensions
+    weights_a: dict[Atom, Fraction] = {}
+    weights_b: dict[Atom, Fraction] = {}
+    for (ya, yb, lam), mass in settings_lam.weights.items():
+        row_a, row_b = outcome_a[ya, lam], outcome_b[yb, lam]
+        for (i, j, area), label in zip(pairs, labels[lam]):
+            weights_a[(row_a[i], ya, yb, label)] = weights_b[(row_b[j], ya, yb, label)] = mass * area
+    lam_space = FiniteSpace(LAM, tuple(label for lam_labels in labels.values() for label in lam_labels))
+    extended_a = _derived(ProductLayout((p.space(XA), p.space(YA), p.space(YB), lam_space)), weights_a)
+    extended_b = _derived(ProductLayout((p.space(XB), p.space(YA), p.space(YB), lam_space)), weights_b)
     result = HVModel(fiber_product(extended_a, extended_b, over=(YA, YB, LAM)))
 
     # self-verification: the construction is intricate enough that silent

@@ -117,10 +117,11 @@ def singlet_model(
     for angle in (*angles_a, *angles_b):
         if not math.isfinite(angle):
             raise DomainError(f"measurement angles must be finite, got {angle!r}")
+    # compared as values, since 0.0 and -0.0 are equal angles with distinct labels
+    if len(set(angles_a)) != len(angles_a) or len(set(angles_b)) != len(angles_b):
+        raise DomainError("measurement angles must be distinct per party")
     labels_a = tuple(_angle_label(a) for a in angles_a)
     labels_b = tuple(_angle_label(b) for b in angles_b)
-    if len(set(labels_a)) != len(labels_a) or len(set(labels_b)) != len(labels_b):
-        raise DomainError("measurement angles must be distinct per party")
 
     contexts = [(la, lb) for la in labels_a for lb in labels_b]
     if setting_dist is None:

@@ -16,8 +16,6 @@ from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

@@ -324,6 +324,36 @@ class TestUsageErrors:
         assert capsys.readouterr().out.startswith("usage: hvkit check")
 
 
+class TestInternalCheckFailure:
+    """A failed internal cross-check is a bug, and exits 2 with one "error: " line."""
+
+    @pytest.mark.parametrize(
+        "target, replacement, argv",
+        [
+            # locality fails on this file, so a fiber reading that holds disagrees with the checker
+            (
+                "hvkit.properties.is_fiber_product",
+                lambda *args: True,
+                ("check", str(FIXTURE_DIR / "pr_box_singleton_hv.json"), "--property", "locality"),
+            ),
+            (
+                "hvkit.determinize.equivalent",
+                lambda *args: False,
+                ("determinize", str(FIXTURE_DIR / "fair_coin_product_hv.json"), "--method", "local", "--out", "out.json"),
+            ),
+        ],
+        ids=["fiber-reading", "determinize-selfcheck"],
+    )
+    def test_exits_two(self, target, replacement, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(target, replacement)
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "out.json").exists()
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize(
         "argv",

@@ -14,8 +14,6 @@ import hvkit.models
 from hvkit.cli import load_model_file, main, save_model_file, serialize_model
 from hvkit.determinize import (
     MAX_DETERMINIZED_ATOMS,
-    _extension,
-    _hidden_values,
     determinize_empirical,
     determinize_local,
     interval_partition,
@@ -167,6 +165,18 @@ class Unreached(Exception):
 
 def unreached(*args, **kwargs):
     raise Unreached
+
+
+def record_fiber_products(monkeypatch):
+    """From now on, record each (q, r, over) that determinize passes to fiber_product."""
+    calls, real = [], hvkit.determinize.fiber_product
+
+    def recording(q, r, over):
+        calls.append((q, r, over))
+        return real(q, r, over)
+
+    monkeypatch.setattr(hvkit.determinize, "fiber_product", recording)
+    return calls
 
 
 class TestTrivialHV:
@@ -391,7 +401,8 @@ class TestDeterminizeLocal:
 
 
 class TestEndpointOracle:
-    def test_extension_matches_interval_objects(self):
+    def test_extension_matches_interval_objects(self, monkeypatch):
+        calls = record_fiber_products(monkeypatch)
         rng = random.Random(6)
         zero_conditionals = shared_endpoints = 0
         for _ in range(200):
@@ -400,17 +411,16 @@ class TestEndpointOracle:
             assert len(marginal(p.measure, (LAM,)).weights) == len(p.space(LAM))
             # a fresh copy, so the oracle reads nothing from p's memo
             oracle = oracle_determinize_local(HVModel(FiniteMeasure(p.measure.layout, dict(p.measure.weights))))
-            rows = {party: interval_partition(p, party) for party in "ab"}
-            cells = {party: refined_cells(party, rows[party]) for party in "ab"}
-            settings_lam = marginal(p.measure, ("ya", "yb", LAM))
-            lam_space, triples = _hidden_values(p, cells["a"], cells["b"])
-            for party in "ab":
-                extension = _extension(p, settings_lam, rows[party], cells[party], lam_space, triples)
+            calls.clear()
+            determinize_local(p)
+            [(extended_a, extended_b, _)] = calls
+            for party, extension in zip("ab", (extended_a, extended_b)):
                 want = marginal(oracle.measure, ("x" + party, "ya", "yb", LAM))
                 assert extension.layout == want.layout
                 assert list(extension.weights.items()) == list(want.weights.items())
-                zero_conditionals += any(a == b for ends in rows[party].values() for a, b in zip((0,) + ends, ends))
-                inner = [set(ends) - {0, 1} for ends in rows[party].values()]
+                rows = interval_partition(p, party)
+                zero_conditionals += any(a == b for ends in rows.values() for a, b in zip((0,) + ends, ends))
+                inner = [set(ends) - {0, 1} for ends in rows.values()]
                 shared_endpoints += any(a & b for i, a in enumerate(inner) for b in inner[i + 1:])
         # the suite exercises both cases the endpoint lookup must get right
         assert zero_conditionals > 50 and shared_endpoints > 50
@@ -469,16 +479,10 @@ class TestThreeProductOracle:
     """determinize_local builds one fiber product and writes the bytes the three-product body wrote."""
 
     def assert_same_bytes(self, monkeypatch, model):
-        calls, real = [], hvkit.determinize.fiber_product
-
-        def counting(q, r, over):
-            calls.append(over)
-            return real(q, r, over)
-
         with monkeypatch.context() as patched:
-            patched.setattr(hvkit.determinize, "fiber_product", counting)
+            calls = record_fiber_products(patched)
             got = serialize_model(determinize_local(model))
-        assert calls == [("ya", "yb", LAM)]
+        assert [over for _, _, over in calls] == [("ya", "yb", LAM)]
         fresh = type(model)(FiniteMeasure(model.measure.layout, dict(model.measure.weights)))
         assert got == serialize_model(oracle_determinize_local(fresh))
 
@@ -541,20 +545,28 @@ class TestFineOracle:
 class TestConstructionGuard:
     def test_builds_no_product_reorder_or_validated_measure(self, monkeypatch):
         # every measure determinize_local builds goes through _derived or fiber_product
-        layouts, real = [], hvkit.determinize.fiber_product
-
-        def recording(q, r, over):
-            layouts.extend((q.layout.names, r.layout.names))
-            return real(q, r, over)
-
         for name in ("product", "reorder", "FiniteMeasure"):
             monkeypatch.setattr(hvkit.determinize, name, unreached, raising=False)
-        monkeypatch.setattr(hvkit.determinize, "fiber_product", recording)
+        calls = record_fiber_products(monkeypatch)
         rng = random.Random(64)
         models = [rand_local_lambda_indep(rng) for _ in range(10)] + [rand_sparse_local(rng) for _ in range(10)]
         for model in models:
             assert equivalent(determinize_local(model), model)
-        assert layouts == [("xa", "ya", "yb", LAM), ("xb", "ya", "yb", LAM)] * len(models)
+        layouts = [(q.layout.names, r.layout.names) for q, r, _ in calls]
+        assert layouts == [(("xa", "ya", "yb", LAM), ("xb", "ya", "yb", LAM))] * len(models)
+
+    def test_extensions_share_each_mass(self, monkeypatch):
+        # each (ya, yb, new lam) mass is formed once and carried by both extensions
+        calls = record_fiber_products(monkeypatch)
+        rng = random.Random(66)
+        models = [rand_local_lambda_indep(rng) for _ in range(10)] + [rand_sparse_local(rng) for _ in range(10)]
+        for model in models:
+            determinize_local(model)
+        assert len(calls) == len(models)
+        for q, r, _ in calls:
+            by_z = {atom[1:]: w for atom, w in q.weights.items()}
+            assert len(by_z) == len(q.weights) == len(r.weights)
+            assert all(w is by_z[atom[1:]] for atom, w in r.weights.items())
 
     def test_result_needs_no_reorder(self, monkeypatch):
         # the fiber product's layout x + y + z is already (xa, xb, ya, yb, lam)

@@ -120,8 +120,12 @@ class TestSingletModel:
         # both angles print as "10" under :g; the second falls back to repr
         e = singlet_model((10.0, 10.0000001), (0.0,))
         assert e.space("ya").atoms == ("10", "10.0000001")
-        with pytest.raises(DomainError, match="distinct"):
-            singlet_model((10.0, 10.0), (0.0,))
+        # equal angles are refused even where their labels differ
+        for equal in ((10.0, 10.0), (0.0, -0.0)):
+            with pytest.raises(DomainError, match="distinct"):
+                singlet_model(equal, (0.0,))
+            with pytest.raises(DomainError, match="distinct"):
+                singlet_model((45.0,), equal)
 
 
 class Unreached(Exception):
