@@ -46,14 +46,8 @@ from operator import getitem
 from .determinize import determinize_empirical, determinize_local
 from .errors import HVKitError, ModelFormatError, PreconditionError
 from .measure import FiniteMeasure, FiniteSpace, ProductLayout, marginal, measures_equal
-from .models import EmpiricalModel, HV_COORDS, HVModel, LAM, PSI_COORDS, XA, YA, realizes
-from .properties import (
-    HVProperty,
-    PropertyReport,
-    check_all,
-    check_property,
-    check_strong_determinism,
-)
+from .models import EmpiricalModel, HV_COORDS, HVModel, LAM, PSI_COORDS, XA, YA
+from .properties import HVProperty, PropertyReport, check_all, check_property
 from .quantumgen import singlet_model
 from .realizability import chsh_value, local_hvm_exists
 from .rationals import rational_from_string, rational_to_string
@@ -328,12 +322,10 @@ def cmd_verify(args) -> Result:
         lines.append(f"cross-check nested marginals: {'consistent' if nested else 'INCONSISTENT'}")
         ok = ok and nested
     else:
-        deterministic = determinize_empirical(model)
-        realized = realizes(deterministic, model)
-        determined = check_strong_determinism(deterministic).holds
-        good = realized and determined
-        lines.append(f"cross-check deterministic realization: {'consistent' if good else 'INCONSISTENT'}")
-        ok = ok and good
+        # the construction checks that its output realizes the model and is
+        # strongly deterministic, and raises InternalCheckError if not
+        determinize_empirical(model)
+        lines.append("cross-check deterministic realization: consistent")
     return (0 if ok else 1), {"command": "verify", "ok": ok, "log": lines}, lines
 
 

@@ -6,7 +6,7 @@ Three constructions live here:
   realization that is trivially independent of the settings.
 * :func:`determinize_empirical` realizes any empirical model by a
   strongly deterministic one whose hidden space is a tagged copy of the
-  support of the joint outcome marginal.
+  support of the joint outcome marginal, and checks both on its output.
 * :func:`determinize_local` turns any local, setting-independent model
   into an equivalent strongly deterministic, setting-independent one by
   splitting each party's unit interval of randomness into subintervals
@@ -48,7 +48,7 @@ from .measure import (
     point_mass,
     product,
 )
-from .models import EmpiricalModel, HVModel, LAM, XA, XB, YA, YB, equivalent
+from .models import EmpiricalModel, HVModel, LAM, XA, XB, YA, YB, equivalent, realizes
 from .properties import check_lambda_independence, check_locality, check_strong_determinism
 from .rationals import ONE, ZERO
 
@@ -59,7 +59,7 @@ Rows = Mapping[Atom, tuple[Fraction, ...]]
 # Most atoms determinize_local builds.  It lists hidden labels only for positive
 # lam, each of which has a positive (ya, yb) under lam-independence, so there are
 # no more labels than atoms.  A 90,720-atom output (3 x 3 settings, 3 outcomes,
-# 7 lam) took 2.8 s and 153 MB on a shared 2-CPU machine (median of 11 runs).
+# 7 lam) took 3.4 s and 143 MB on a shared 2-CPU machine (median of 11 runs).
 MAX_DETERMINIZED_ATOMS = 100_000
 
 
@@ -117,7 +117,8 @@ def determinize_empirical(e: EmpiricalModel) -> HVModel:
     coincide, and the fiber product with e over the outcomes reattaches
     the settings.  The result realizes e, and each party's outcome is a
     function of the tag alone -- at the price of the hidden variable
-    generally becoming correlated with the settings.
+    generally becoming correlated with the settings.  Both are checked
+    on every call, and a failure raises InternalCheckError.
     """
     outcome_dist = marginal(e.measure, (XA, XB))
     tags = joint_outcome_tags(e)
@@ -130,8 +131,13 @@ def determinize_empirical(e: EmpiricalModel) -> HVModel:
         diag_layout,
         {(xa, xb, tag): w for tag, ((xa, xb), w) in zip(tags, outcome_dist.weights.items())},
     )
-    joined = fiber_product(diagonal, e.measure, over=(XA, XB))
-    return HVModel(joined)
+    result = HVModel(fiber_product(diagonal, e.measure, over=(XA, XB)))
+
+    if not realizes(result, e):
+        raise InternalCheckError("determinized model does not realize its input")
+    if not check_strong_determinism(result).holds:
+        raise InternalCheckError("determinized model is not strongly deterministic")
+    return result
 
 
 def determinize_local(p: HVModel) -> HVModel:

@@ -27,8 +27,12 @@ the first row that fails is searched cell by cell
 through :func:`_first_violation` for the witness, over the target atoms
 where either side can be positive.  Products are compared
 as integer cross-products of numerators and denominators, and a
-``Fraction`` product is formed only for a witness's right side.  The
-zero-one test reads ``v == 1`` on stored entries, which are positive.
+``Fraction`` product is formed only for a witness's right side.
+Determinism is decided on the support, in one pass over the model's
+atoms (:func:`_determined`): weights are positive, so every conditional
+of a row lies in {0, 1} exactly when its conditioning atom has one
+positive target.  Only a pass that fails builds the memoized kernel, to
+find the witness.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from operator import itemgetter, mul
 
 from .errors import InternalCheckError
 from .fiber import _factors, is_fiber_product
-from .measure import _canonical_key, _memoized, conditional, marginal, measures_equal, product
+from .measure import _canonical_key, _memoized, _projector, conditional, marginal, measures_equal, product
 from .models import HVModel, LAM, XA, XB, YA, YB
 
 
@@ -152,19 +156,40 @@ def _own_setting_violation(p: HVModel, k_both, k_own, own) -> Witness | None:
     )
 
 
-def _zero_one_violation(kernel) -> Witness | None:
-    """First conditional strictly between 0 and 1, if any.
+def _determined(m, outcome_coords, given_coords) -> bool:
+    """Whether ``m``'s conditional of ``outcome_coords`` given ``given_coords`` is 0/1, read off its atoms.
 
-    Stored entries are positive, so one lies in {0, 1} exactly when it is
-    1, and absent entries are zero and pass.  The witness reports
-    (v, v*v), the two sides of v == v*v.
+    Weights are positive, so a row's entries are all 1 exactly when its
+    given atom has one outcome among the atoms.  The pass stops at the
+    first given atom seen with a second outcome, and builds no kernel.
     """
+    outcome_of = _projector(m.layout.positions(outcome_coords))
+    given_of = _projector(m.layout.positions(given_coords))
+    outcomes = {}
+    for atom in m.weights:
+        outcome = outcome_of(atom)
+        if outcomes.setdefault(given_of(atom), outcome) != outcome:
+            return False
+    return True
+
+
+def _zero_one_violation(m, outcome_coords, given_coords) -> Witness | None:
+    """First conditional of (outcome | given) strictly between 0 and 1, if any.
+
+    Decided by :func:`_determined`.  Only when that fails is the kernel
+    built and searched, and it must hold a stored entry other than 1;
+    absent entries are zero and pass.  The witness reports (v, v*v), the
+    two sides of v == v*v.
+    """
+    if _determined(m, outcome_coords, given_coords):
+        return None
+    kernel = conditional(m, outcome_coords, given_coords)
     coords = kernel.target_coords + kernel.given_coords
     for given, row in kernel.table.items():
         for target, v in row.items():
             if v != 1:
                 return Witness(tuple(zip(coords, target + given)), v, v * v)
-    return None
+    raise InternalCheckError(f"{outcome_coords} given {given_coords} has two outcomes, yet every conditional is 1")
 
 
 def _assert_agreement(prop: HVProperty, **readings: bool) -> None:
@@ -279,12 +304,10 @@ def check_lambda_independence(p: HVModel) -> PropertyReport:
 def check_weak_determinism(p: HVModel) -> PropertyReport:
     """Both settings plus lam almost surely pin down the joint outcome."""
     m = p.measure
-    witness = _zero_one_violation(conditional(m, (XA, XB), (YA, YB, LAM)))
+    witness = _zero_one_violation(m, (XA, XB), (YA, YB, LAM))
 
     # equivalent per-party reading: each single outcome conditional is 0/1
-    k_a = conditional(m, (XA,), (YA, YB, LAM))
-    k_b = conditional(m, (XB,), (YA, YB, LAM))
-    per_party = _zero_one_violation(k_a) is None and _zero_one_violation(k_b) is None
+    per_party = _determined(m, (XA,), (YA, YB, LAM)) and _determined(m, (XB,), (YA, YB, LAM))
     _assert_agreement(HVProperty.WEAK_DETERMINISM, joint=witness is None, per_party=per_party)
     return PropertyReport(HVProperty.WEAK_DETERMINISM, witness is None, witness)
 
@@ -292,9 +315,7 @@ def check_weak_determinism(p: HVModel) -> PropertyReport:
 def check_strong_determinism(p: HVModel) -> PropertyReport:
     """Each party's own setting plus lam almost surely pins down its outcome."""
     m = p.measure
-    witness = _zero_one_violation(conditional(m, (XA,), (YA, LAM))) or _zero_one_violation(
-        conditional(m, (XB,), (YB, LAM))
-    )
+    witness = _zero_one_violation(m, (XA,), (YA, LAM)) or _zero_one_violation(m, (XB,), (YB, LAM))
     return PropertyReport(HVProperty.STRONG_DETERMINISM, witness is None, witness)
 
 

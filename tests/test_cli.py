@@ -324,6 +324,12 @@ class TestUsageErrors:
         assert capsys.readouterr().out.startswith("usage: hvkit check")
 
 
+def one_tag_diagonal(layout, weights):
+    """determinize_empirical's diagonal with every outcome pair moved onto the first tag."""
+    tag = next(iter(weights))[2]
+    return FiniteMeasure(layout, {(xa, xb, tag): w for (xa, xb, _), w in weights.items()})
+
+
 class TestInternalCheckFailure:
     """A failed internal cross-check is a bug, and exits 2 with one "error: " line."""
 
@@ -341,8 +347,20 @@ class TestInternalCheckFailure:
                 lambda *args: False,
                 ("determinize", str(FIXTURE_DIR / "fair_coin_product_hv.json"), "--method", "local", "--out", "out.json"),
             ),
+            # one tag carries every outcome pair: the output still realizes the model,
+            # but is not strongly deterministic
+            (
+                "hvkit.determinize.FiniteMeasure",
+                one_tag_diagonal,
+                ("determinize", str(FIXTURE_DIR / "pr_box.json"), "--method", "empirical", "--out", "out.json"),
+            ),
+            (
+                "hvkit.determinize.realizes",
+                lambda *args: False,
+                ("determinize", str(FIXTURE_DIR / "pr_box.json"), "--method", "empirical", "--out", "out.json"),
+            ),
         ],
-        ids=["fiber-reading", "determinize-selfcheck"],
+        ids=["fiber-reading", "determinize-selfcheck", "empirical-determinism", "empirical-realization"],
     )
     def test_exits_two(self, target, replacement, argv, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

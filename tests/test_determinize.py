@@ -43,6 +43,7 @@ from hvkit.properties import (
 from hvkit.realizability import enumerate_strategies, local_hvm_exists, strategy_hv_model
 from randmodels import rand_dist, rand_empirical, rand_local_lambda_indep, rand_strategy_mixture
 from test_fiber import oracle_fiber_product
+from test_properties import record_tables
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -584,6 +585,34 @@ class TestConstructionGuard:
         for model in models:
             determinize_local(model)
         assert permuted == []
+
+
+class TestSelfCheckGuard:
+    """Strong determinism is decided on the support: a model that has it gets no own-setting kernel."""
+
+    OWN_SETTING = ((("xa",), ("ya", LAM)), (("xb",), ("yb", LAM)))
+
+    def test_determinize_local_builds_none_on_its_result(self, monkeypatch):
+        built = record_tables(monkeypatch)
+        rng = random.Random(68)
+        for _ in range(10):
+            p = rand_local_lambda_indep(rng, small=True)
+            built.clear()
+            determinize_local(p)
+            own = [(target, given, table) for target, given, table in built if (target, given) in self.OWN_SETTING]
+            # only the input's two, which the precheck and the interval partition share
+            assert [(target, given) for target, given, _ in own] == list(self.OWN_SETTING)
+            assert {g[1] for _, _, table in own for g, _ in table} <= set(p.space(LAM).atoms)
+
+    def test_a_model_that_passes_builds_no_kernel(self, monkeypatch):
+        rng = random.Random(69)
+        models = [rand_strategy_mixture(rng) for _ in range(20)]
+        models += [determinize_local(rand_local_lambda_indep(rng, small=True)) for _ in range(5)]
+        built = record_tables(monkeypatch)
+        for model in models:
+            fresh = HVModel(FiniteMeasure(model.measure.layout, dict(model.measure.weights)))
+            assert check_strong_determinism(fresh).holds
+        assert built == []
 
 
 class TestOutputCap:

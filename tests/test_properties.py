@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import hvkit.measure as measure_module
+import hvkit.properties as properties_module
 from hvkit import fixtures
-from hvkit.determinize import determinize_local
+from hvkit.determinize import determinize_empirical, determinize_local
 from hvkit.errors import InternalCheckError
 from hvkit.fiber import is_fiber_product
 from hvkit.fixtures import (
@@ -24,10 +25,12 @@ from hvkit.fixtures import (
     rational_singlet_hv,
     signaling_model,
 )
-from hvkit.measure import FiniteMeasure, FiniteSpace, ProductLayout, marginal
+from hvkit.measure import FiniteMeasure, FiniteSpace, ProductLayout, conditional, marginal
 from hvkit.models import HV_COORDS, HVModel, hv_model
 from hvkit.properties import (
     HVProperty,
+    PropertyReport,
+    Witness,
     check_all,
     check_lambda_independence,
     check_locality,
@@ -36,7 +39,7 @@ from hvkit.properties import (
     check_strong_determinism,
     check_weak_determinism,
 )
-from randmodels import rand_dist, rand_hv_mixed, rand_local_lambda_indep, rand_strategy_mixture
+from randmodels import rand_dist, rand_empirical, rand_hv_mixed, rand_local_lambda_indep, rand_strategy_mixture
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -367,24 +370,24 @@ class TestCrossChecksWired:
             check_lambda_independence(model)
 
 
+def record_tables(monkeypatch):
+    """Record every conditional table built from now on, as a hashable value."""
+    built = []
+    real = measure_module.CondProb
+
+    def recording(target, given, table):
+        built.append((target, given, tuple((g, tuple(row.items())) for g, row in table.items())))
+        return real(target, given, table)
+
+    monkeypatch.setattr(measure_module, "CondProb", recording)
+    return built
+
+
 class TestOneKernelPerModel:
     """Each conditional table and each fiber identity of a model is built once."""
 
-    @staticmethod
-    def record_tables(monkeypatch):
-        """Record every conditional table built from now on, as a hashable value."""
-        built = []
-        real = measure_module.CondProb
-
-        def recording(target, given, table):
-            built.append((target, given, tuple((g, tuple(row.items())) for g, row in table.items())))
-            return real(target, given, table)
-
-        monkeypatch.setattr(measure_module, "CondProb", recording)
-        return built
-
     def test_check_all_builds_no_conditional_twice(self, monkeypatch):
-        built = self.record_tables(monkeypatch)
+        built = record_tables(monkeypatch)
         rng = random.Random(3)
         for _ in range(200):
             built.clear()
@@ -392,7 +395,7 @@ class TestOneKernelPerModel:
             assert built and len(set(built)) == len(built)
 
     def test_determinize_local_builds_no_conditional_twice(self, monkeypatch):
-        built = self.record_tables(monkeypatch)
+        built = record_tables(monkeypatch)
         rng = random.Random(4)
         for _ in range(20):
             built.clear()
@@ -449,6 +452,82 @@ class TestOneKernelPerModel:
             holds[reports[0].holds] += 1
         # both locality verdicts occur, so a shared verdict is tested both ways
         assert holds[True] >= 10 and holds[False] >= 10, holds
+
+
+def kernel_zero_one(kernel):
+    """The kernel reading of a zero-one test: the first stored conditional other than 1, as (v, v*v)."""
+    coords = kernel.target_coords + kernel.given_coords
+    for given, row in kernel.table.items():
+        for target, v in row.items():
+            if v != 1:
+                return Witness(tuple(zip(coords, target + given)), v, v * v)
+    return None
+
+
+def oracle_determinism(p):
+    """Strong and weak determinism reports read off full kernels of a copy with no memo."""
+    m = FiniteMeasure(p.measure.layout, dict(p.measure.weights))
+    strong = kernel_zero_one(conditional(m, ("xa",), ("ya", "lam"))) or kernel_zero_one(
+        conditional(m, ("xb",), ("yb", "lam"))
+    )
+    weak = kernel_zero_one(conditional(m, ("xa", "xb"), ("ya", "yb", "lam")))
+    per_party = [kernel_zero_one(conditional(m, (x,), ("ya", "yb", "lam"))) for x in ("xa", "xb")]
+    assert (weak is None) == (per_party == [None, None])
+    return (
+        PropertyReport(HVProperty.STRONG_DETERMINISM, strong is None, strong),
+        PropertyReport(HVProperty.WEAK_DETERMINISM, weak is None, weak),
+    )
+
+
+def with_idle_labels(p):
+    """The same weights with one more setting for Alice and one more lam label, both of mass zero."""
+    labels = [p.space(name).atoms for name in HV_COORDS]
+    labels[2] += ("idle",)
+    labels[4] += ("idle",)
+    return hv_model(*labels, dict(p.measure.weights))
+
+
+class TestDeterminismOnTheSupport:
+    """Both determinism checkers give the kernel reading's verdict and witness."""
+
+    def test_matches_the_kernel_reading(self):
+        rng = random.Random(67)
+        models = (
+            [rand_hv_mixed(rng) for _ in range(150)]
+            + [rand_strategy_mixture(rng) for _ in range(40)]
+            + [determinize_local(rand_local_lambda_indep(rng, small=True)) for _ in range(30)]
+            + [determinize_empirical(rand_empirical(rng)) for _ in range(30)]
+            + [with_idle_labels(rand_hv_mixed(rng)) for _ in range(60)]
+        )
+        verdicts = Counter()
+        for p in models:
+            strong, weak = oracle_determinism(p)
+            assert check_strong_determinism(p) == strong
+            assert check_weak_determinism(p) == weak
+            verdicts[strong.holds, weak.holds] += 1
+        # strong implies weak; each other pair of verdicts occurs often
+        assert verdicts[True, False] == 0
+        assert min(verdicts[True, True], verdicts[False, True], verdicts[False, False]) >= 20, verdicts
+
+    @pytest.mark.parametrize("checker", [check_strong_determinism, check_weak_determinism], ids=lambda c: c.__name__)
+    def test_a_failed_pass_with_no_witness_raises(self, monkeypatch, checker):
+        model = pr_box_determinized()
+        assert checker(model).holds
+        monkeypatch.setattr(properties_module, "_determined", lambda *args: False)
+        with pytest.raises(InternalCheckError, match="every conditional is 1"):
+            checker(model)
+
+    @pytest.mark.parametrize("builder", [pr_box_determinized, fair_coin_product_model], ids=lambda b: b.__name__)
+    def test_weak_readings_that_disagree_raise(self, monkeypatch, builder):
+        model, real = builder(), properties_module._determined
+
+        def per_party_flipped(m, outcome_coords, given_coords):
+            verdict = real(m, outcome_coords, given_coords)
+            return verdict if len(outcome_coords) == 2 else not verdict
+
+        monkeypatch.setattr(properties_module, "_determined", per_party_flipped)
+        with pytest.raises(InternalCheckError, match="readings disagree"):
+            check_weak_determinism(model)
 
 
 def test_only_measure_touches_a_measures_memo():
